@@ -14,6 +14,7 @@ from .errors import (
     EmptySupportError,
     InsufficientSamplesError,
     InvalidEnsembleError,
+    InvalidMeasurementError,
     InvalidPlanError,
     MarginalInfeasibilityError,
     NonconvergenceError,

@@ -21,6 +21,10 @@ class SingularCovarianceError(OTFilterError):
     """A noise covariance is singular where an inverse is required."""
 
 
+class InvalidMeasurementError(OTFilterError):
+    """A measurement series holds a non-finite value; names the first bad step."""
+
+
 class MarginalInfeasibilityError(OTFilterError):
     """Transport marginals are inconsistent (wrong size or mass)."""
 

@@ -27,7 +27,7 @@ from enum import Enum
 import numpy as np
 
 from .ensemble import Ensemble, covariance, cross_covariance, mean
-from .errors import InsufficientSamplesError
+from .errors import InsufficientSamplesError, InvalidMeasurementError
 from .models import (
     DEFAULT_CONSTRAINT_SIGMA,
     AugmentedMeasurementModel,
@@ -313,7 +313,9 @@ def run_filter(
     ``measurements`` holds one plain (unaugmented) measurement per row; the
     augmented variants stack the constraint target internally.  The
     constraint error at each step is | sqrt(x_hat^2 + y_hat^2) - L |
-    evaluated at the reported-ensemble mean.
+    evaluated at the reported-ensemble mean.  A non-finite measurement
+    raises ``InvalidMeasurementError`` naming the first bad step before any
+    step runs.
     """
     variant = FilterVariant(variant)
     measurements = np.asarray(measurements, dtype=float)
@@ -321,6 +323,12 @@ def run_filter(
         measurements = measurements.reshape(0, config.measurement.dim)
     else:
         measurements = np.atleast_2d(measurements)
+    bad_rows = np.flatnonzero(~np.isfinite(measurements).all(axis=1))
+    if bad_rows.size:
+        row = int(bad_rows[0])
+        raise InvalidMeasurementError(
+            f"measurement for step {row + 1} (row {row}) is not finite"
+        )
     model = config.augmented() if variant.uses_augmentation else config.measurement
 
     state = FilterState(posterior=initial, reported=initial)

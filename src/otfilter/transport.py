@@ -6,11 +6,29 @@ cost subject to column sums 1/N (equal posterior weights) and row sums
 w_i (likelihood weights), and the resampling map X+ = X- N T, which makes
 every posterior member a convex combination of prior members.
 
-The solver is a dense transportation simplex (MODI / u-v method) on the
-bipartite formulation: a least-cost initial basic solution followed by
-dual-based pivoting on a spanning-tree basis.  Degeneracy is handled with
-zero-allocation basic cells and a switch to Bland's rule after a run of
-degenerate pivots, which guarantees termination.
+The solver is a dense transportation simplex on the bipartite formulation.
+A least-cost scan gives the starting basis, a spanning tree over the row
+and column nodes.  The tree is kept rooted at row 0 as parent and depth
+lists, together with the node potentials u (rows) and v (columns) fixed by
+u_0 = 0 and u_i + v_j = c_ij on every tree cell.  Each pivot prices every
+cell by its reduced cost (c_ij - u_i) - v_j, enters the most negative one,
+finds the cycle by walking parent pointers up from the entering cell's row
+and column to their common ancestor, and removes the cycle's minus cell
+with the smallest allocation.  Cutting that cell detaches one subtree; it
+is re-hung from the entering cell and only its potentials are recomputed.
+Degeneracy is handled with zero-allocation basic cells and a switch to
+Bland's rule after a run of degenerate pivots, which guarantees termination
+in exact arithmetic.
+
+The pivot rule is frozen, down to its floating-point arithmetic: entering
+by argmin over the whole reduced-cost matrix (first index wins), Bland
+taking the first negative cell in row-major order, leaving by smallest
+allocation (smallest (i, j) wins), and every potential computed by one
+subtraction from its parent's along the tree.  Optimal vertices often tie
+(duplicated members, lattice costs), and the filter's output bytes depend
+on which one the solver returns, so a change to any of these rules changes
+outputs.  ``tests/test_solver_reference.py`` holds the solver to a frozen
+copy of its earlier pivot sequence, bit for bit.
 """
 
 from __future__ import annotations
@@ -34,6 +52,9 @@ MARGINAL_TOL = 1e-9
 _REDUCED_COST_TOL = 1e-11
 # Consecutive degenerate pivots tolerated before switching to Bland's rule.
 _BLAND_TRIGGER_FACTOR = 2
+# The least-cost start converts its sorted cell indices to Python ints this
+# many at a time, so no N*N-element list lives beside the N x N arrays.
+_SCAN_CHUNK = 1024
 
 
 class CostMetric(str, Enum):
@@ -250,124 +271,95 @@ def _finalize_plan(
 
 def _initial_basic_solution(
     cost: np.ndarray, supply: np.ndarray, demand: np.ndarray
-) -> tuple[np.ndarray, list[tuple[int, int]]]:
+) -> list[tuple[int, int, float]]:
     """Least-cost starting basis: scan cells in cost order, allocate the
     feasible maximum, and close exactly one exhausted line per allocation so
-    the basis ends as a spanning tree with n+m-1 cells."""
-    n, m = cost.shape
-    s = supply.astype(float).copy()
-    d = demand.astype(float).copy()
-    row_open = np.ones(n, dtype=bool)
-    col_open = np.ones(m, dtype=bool)
-    open_rows, open_cols = n, m
-    alloc = np.zeros((n, m))
-    basic: list[tuple[int, int]] = []
+    the basis ends as a spanning tree with n+m-1 cells.
 
-    for flat in np.argsort(cost, axis=None, kind="stable"):
-        if open_rows + open_cols <= 1:
-            break
-        i, j = divmod(int(flat), m)
-        if not (row_open[i] and col_open[j]):
-            continue
-        si, dj = s[i], d[j]
-        q = si if si <= dj else dj
-        alloc[i, j] = q
-        basic.append((i, j))
-        close_row = si <= dj
-        # Never strand one side with lines still open on the other.
-        if close_row and open_rows == 1 and open_cols > 1:
-            close_row = False
-        elif not close_row and open_cols == 1 and open_rows > 1:
-            close_row = True
-        if close_row:
-            s[i] = 0.0
-            d[j] = dj - q
-            row_open[i] = False
-            open_rows -= 1
-        else:
-            d[j] = 0.0
-            s[i] = si - q
-            col_open[j] = False
-            open_cols -= 1
-
-    return alloc, basic
-
-
-def _compute_duals(
-    cost_rows: list[list[float]],
-    row_adj: list[list[int]],
-    col_adj: list[list[int]],
-    u: np.ndarray,
-    v: np.ndarray,
-) -> None:
-    """Fill dual variables u, v from the basis tree (u[0] anchored at 0)."""
-    n = len(row_adj)
-    m = len(col_adj)
-    row_seen = bytearray(n)
-    col_seen = bytearray(m)
-    row_seen[0] = 1
-    u[0] = 0.0
-    stack = [(0, True)]
-    while stack:
-        idx, is_row = stack.pop()
-        if is_row:
-            ui = u[idx]
-            crow = cost_rows[idx]
-            for j in row_adj[idx]:
-                if not col_seen[j]:
-                    col_seen[j] = 1
-                    v[j] = crow[j] - ui
-                    stack.append((j, False))
-        else:
-            vj = v[idx]
-            for i in col_adj[idx]:
-                if not row_seen[i]:
-                    row_seen[i] = 1
-                    u[i] = cost_rows[i][idx] - vj
-                    stack.append((i, True))
-
-
-def _tree_path(
-    row_adj: list[list[int]],
-    col_adj: list[list[int]],
-    start_row: int,
-    end_col: int,
-) -> list[int]:
-    """Unique tree path from row node to column node.
-
-    Nodes are encoded as alternating (row, col, row, ...) indices in the
-    returned list; the caller knows positions 0, 2, 4, ... are rows.
+    Returns the basic cells as ``(i, j, allocation)`` in the order chosen.
     """
-    n = len(row_adj)
-    # parent[node] over the combined node set: rows 0..n-1, cols n..n+m-1
-    parent = {start_row: -1}
-    stack = [(start_row, True)]
-    target = n + end_col
-    while stack:
-        idx, is_row = stack.pop()
-        if is_row:
-            for j in row_adj[idx]:
-                node = n + j
-                if node not in parent:
-                    parent[node] = idx
-                    if j == end_col:
-                        stack.clear()
-                        break
-                    stack.append((node, False))
+    n, m = cost.shape
+    s = supply.astype(float).tolist()
+    d = demand.astype(float).tolist()
+    row_open = bytearray(b"\x01") * n
+    col_open = bytearray(b"\x01") * m
+    # Boolean views of the flags above; they see every later write.
+    row_mask = np.frombuffer(row_open, dtype=bool)
+    col_mask = np.frombuffer(col_open, dtype=bool)
+    open_rows, open_cols = n, m
+    basic: list[tuple[int, int, float]] = []
+
+    order = np.argsort(cost, axis=None, kind="stable")
+    for start in range(0, order.size, _SCAN_CHUNK):
+        rows, cols = np.divmod(order[start : start + _SCAN_CHUNK], m)
+        # A cell on a line closed before this chunk can never be allocated.
+        live = row_mask[rows] & col_mask[cols]
+        for i, j in zip(rows[live].tolist(), cols[live].tolist()):
+            if open_rows + open_cols <= 1:
+                return basic
+            if not (row_open[i] and col_open[j]):
+                continue
+            si, dj = s[i], d[j]
+            q = si if si <= dj else dj
+            basic.append((i, j, q))
+            close_row = si <= dj
+            # Never strand one side with lines still open on the other.
+            if close_row and open_rows == 1 and open_cols > 1:
+                close_row = False
+            elif not close_row and open_cols == 1 and open_rows > 1:
+                close_row = True
+            if close_row:
+                s[i] = 0.0
+                d[j] = dj - q
+                row_open[i] = 0
+                open_rows -= 1
+            else:
+                d[j] = 0.0
+                s[i] = si - q
+                col_open[j] = 0
+                open_cols -= 1
+    return basic
+
+
+def _hang_subtree(
+    top: int,
+    adj: list[list[int]],
+    parent: list[int],
+    depth: list[int],
+    pot: list[float],
+    cost_flat: memoryview,
+    n: int,
+    m: int,
+) -> list[int]:
+    """Set parent, depth and potential of every tree node below ``top``.
+
+    ``top``'s own parent, depth and potential must already be set.  Each
+    potential is one subtraction from its parent's along the connecting
+    cell (``v_j = c_ij - u_i``, ``u_i = c_ij - v_j``), so it depends only on
+    the node's path to row 0.  Returns ``top`` and every node below it.
+    """
+    nodes = [top]
+    for y in nodes:  # grows while iterated: a breadth-first walk
+        above = parent[y]
+        below_depth = depth[y] + 1
+        y_pot = pot[y]
+        if y < n:
+            row_base = y * m - n
+            for z in adj[y]:
+                if z != above:
+                    parent[z] = y
+                    depth[z] = below_depth
+                    pot[z] = cost_flat[row_base + z] - y_pot
+                    nodes.append(z)
         else:
-            j = idx - n
-            for i in col_adj[j]:
-                if i not in parent:
-                    parent[i] = idx
-                    stack.append((i, True))
-    if target not in parent:
-        raise NonconvergenceError("basis lost connectivity (internal error)")
-    path = [target]
-    while path[-1] != start_row:
-        path.append(parent[path[-1]])
-    path.reverse()
-    # Decode column nodes back to column indices.
-    return [p if k % 2 == 0 else p - n for k, p in enumerate(path)]
+            j = y - n
+            for z in adj[y]:
+                if z != above:
+                    parent[z] = y
+                    depth[z] = below_depth
+                    pot[z] = cost_flat[z * m + j] - y_pot
+                    nodes.append(z)
+    return nodes
 
 
 def _transportation_simplex(
@@ -376,18 +368,31 @@ def _transportation_simplex(
     demand: np.ndarray,
     max_iterations: int | None = None,
 ) -> np.ndarray:
+    """Optimal n x m allocation for row sums ``supply`` and column sums
+    ``demand``, by the frozen pivot rule of the module docstring; raises
+    NonconvergenceError after ``max_iterations`` pivots."""
     n, m = cost.shape
-    alloc, basic = _initial_basic_solution(cost, supply, demand)
-    row_adj: list[list[int]] = [[] for _ in range(n)]
-    col_adj: list[list[int]] = [[] for _ in range(m)]
-    for i, j in basic:
-        row_adj[i].append(j)
-        col_adj[j].append(i)
+    # Basis tree over nodes 0..n-1 (rows) and n..n+m-1 (columns), rooted at
+    # row 0; ``flow`` maps each basic cell i*m + j to its allocation.
+    adj: list[list[int]] = [[] for _ in range(n + m)]
+    flow: dict[int, float] = {}
+    for i, j, q in _initial_basic_solution(cost, supply, demand):
+        adj[i].append(n + j)
+        adj[n + j].append(i)
+        flow[i * m + j] = q
+    # Cell costs in row-major order; indexing yields Python floats without
+    # a per-cell Python object held for the whole solve.
+    cost_flat = memoryview(np.ascontiguousarray(cost).ravel())
+    parent = [-1] * (n + m)
+    depth = [0] * (n + m)
+    pot = [0.0] * (n + m)
+    _hang_subtree(0, adj, parent, depth, pot, cost_flat, n, m)
+    pot_arr = np.array(pot)
+    u = pot_arr[:n]
+    v = pot_arr[n:]
 
-    cost_rows = cost.tolist()
-    u = np.empty(n)
-    v = np.empty(m)
-    reduced = np.empty_like(cost)
+    reduced = np.empty((n, m))
+    reduced_flat = reduced.ravel()
     if max_iterations is None:
         max_iterations = 200 * (n + m) + 1000
     bland_trigger = _BLAND_TRIGGER_FACTOR * (n + m)
@@ -395,49 +400,88 @@ def _transportation_simplex(
     degenerate_streak = 0
     use_bland = False
     for _ in range(max_iterations):
-        _compute_duals(cost_rows, row_adj, col_adj, u, v)
         np.subtract(cost, u[:, None], out=reduced)
-        reduced -= v[None, :]
+        reduced -= v
 
         if use_bland:
-            candidates = np.flatnonzero(reduced.ravel() < -_REDUCED_COST_TOL)
-            if candidates.size == 0:
-                return alloc
-            ei, ej = divmod(int(candidates[0]), m)
+            negative = reduced_flat < -_REDUCED_COST_TOL
+            enter = int(negative.argmax())
+            if not negative[enter]:
+                return _dense_alloc(flow, n, m)
         else:
-            flat = int(np.argmin(reduced))
-            ei, ej = divmod(flat, m)
-            if reduced[ei, ej] >= -_REDUCED_COST_TOL:
-                return alloc
+            enter = int(reduced.argmin())
+            if reduced_flat[enter] >= -_REDUCED_COST_TOL:
+                return _dense_alloc(flow, n, m)
+        ei, ej = divmod(enter, m)
 
-        path = _tree_path(row_adj, col_adj, ei, ej)
-        # Cycle: entering cell (+) then path arcs alternating (-, +, -, ...).
-        minus_arcs: list[tuple[int, int]] = []
-        plus_arcs: list[tuple[int, int]] = []
-        for k in range(len(path) - 1):
-            arc = (path[k], path[k + 1]) if k % 2 == 0 else (path[k + 1], path[k])
-            (minus_arcs if k % 2 == 0 else plus_arcs).append(arc)
+        # The cycle is the entering cell plus the tree path between its row
+        # and column: walk both ends up to their common ancestor.  Walking
+        # from row ei to column ej, the path's cells alternate -, +, -, ...
+        # starting with a minus, so a cell is a minus cell when the walk
+        # leaves it through its row end: the lower node is a row on ei's
+        # side of the ancestor and a column on ej's side.
+        a, b = ei, n + ej
+        side_a: list[int] = []
+        side_b: list[int] = []
+        while depth[a] > depth[b]:
+            side_a.append(a)
+            a = parent[a]
+        while depth[b] > depth[a]:
+            side_b.append(b)
+            b = parent[b]
+        while a != b:
+            side_a.append(a)
+            a = parent[a]
+            side_b.append(b)
+            b = parent[b]
 
+        # Leaving cell: smallest allocation among minus cells, ties to the
+        # smallest (i, j), i.e. the smallest flat index.
+        minus: list[int] = []
+        plus: list[int] = []
         theta = np.inf
-        leaving = minus_arcs[0]
-        for arc in minus_arcs:
-            a = alloc[arc]
-            if a < theta or (a == theta and arc < leaving):
-                theta = a
-                leaving = arc
+        leave = -1
+        leave_node = -1
+        leave_on_a = False
+        for side, on_a in ((side_a, True), (side_b, False)):
+            for x in side:
+                if x < n:
+                    cell = x * m + parent[x] - n
+                else:
+                    cell = parent[x] * m + x - n
+                if (x < n) != on_a:
+                    plus.append(cell)
+                    continue
+                minus.append(cell)
+                f = flow[cell]
+                if f < theta or (f == theta and cell < leave):
+                    theta = f
+                    leave = cell
+                    leave_node = x
+                    leave_on_a = on_a
 
-        for arc in plus_arcs:
-            alloc[arc] += theta
-        alloc[ei, ej] += theta
-        for arc in minus_arcs:
-            alloc[arc] -= theta
-        alloc[leaving] = 0.0
-
-        li, lj = leaving
-        row_adj[li].remove(lj)
-        col_adj[lj].remove(li)
-        row_adj[ei].append(ej)
-        col_adj[ej].append(ei)
+        for cell in plus:
+            flow[cell] += theta
+        for cell in minus:
+            flow[cell] -= theta
+        # An entering cell already in the basis (its reduced cost is rounding
+        # noise) is its own cycle: it leaves again with its allocation zeroed.
+        if leave != enter:
+            del flow[leave]
+            flow[enter] = theta
+            # Cut the leaving cell; the side without row 0 hangs from the
+            # entering cell and only its potentials change.
+            above = parent[leave_node]
+            adj[leave_node].remove(above)
+            adj[above].remove(leave_node)
+            top, hook = (ei, n + ej) if leave_on_a else (n + ej, ei)
+            adj[top].append(hook)
+            adj[hook].append(top)
+            parent[top] = hook
+            depth[top] = depth[hook] + 1
+            pot[top] = cost_flat[enter] - pot[hook]
+            moved = _hang_subtree(top, adj, parent, depth, pot, cost_flat, n, m)
+            pot_arr[moved] = [pot[x] for x in moved]
 
         if theta <= 0.0:
             degenerate_streak += 1
@@ -447,9 +491,8 @@ def _transportation_simplex(
             degenerate_streak = 0
             use_bland = False
 
-    _compute_duals(cost_rows, row_adj, col_adj, u, v)
     np.subtract(cost, u[:, None], out=reduced)
-    reduced -= v[None, :]
+    reduced -= v
     raise NonconvergenceError(
         "transportation simplex hit its iteration limit",
         diagnostics={
@@ -458,3 +501,10 @@ def _transportation_simplex(
             "size": n,
         },
     )
+
+
+def _dense_alloc(flow: dict[int, float], n: int, m: int) -> np.ndarray:
+    """The n x m allocation array: basic cells from ``flow``, zeros elsewhere."""
+    alloc = np.zeros(n * m)
+    alloc[list(flow)] = list(flow.values())
+    return alloc.reshape(n, m)

@@ -2,7 +2,8 @@
 
 Each test prints one PASS/FAIL line with the measured numbers.  The
 Monte-Carlo criteria (4-6) share a single 30-run batch at the default
-study configuration, which dominates the suite's runtime.
+study configuration, which dominates the suite's runtime; they carry the
+``slow`` marker, so ``pytest -m "not slow"`` leaves the batch out.
 """
 
 import hashlib
@@ -153,6 +154,7 @@ def test_criterion_3_linear_constraint_exactness():
     assert worst_idempotence <= 1e-8
 
 
+@pytest.mark.slow
 def test_criterion_4_pendulum_divergence(study_batch):
     ratios = []
     firsts, finals = [], []
@@ -178,6 +180,7 @@ def test_criterion_4_pendulum_divergence(study_batch):
     assert median_final >= 2.0 * median_first
 
 
+@pytest.mark.slow
 def test_criterion_5_variant_ordering(study_batch):
     agg = {
         entry.variant: entry.avg_rms_constraint_error
@@ -209,6 +212,7 @@ def test_criterion_5_variant_ordering(study_batch):
     assert protocol_runs == 100
 
 
+@pytest.mark.slow
 def test_criterion_6_otnleqma_stability(study_batch):
     errors = np.array(
         [

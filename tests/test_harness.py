@@ -315,3 +315,24 @@ class TestRunSingle:
         assert other.runs_failed == 0 and other.runs_used == 2
         for record in result.runs:
             assert "NonconvergenceError" in record.failures[FilterVariant.OTF]
+
+    def test_non_finite_measurement_names_its_step(self, monkeypatch):
+        import otfilter.harness as harness_module
+
+        real_simulate_truth = harness_module.simulate_truth
+
+        def corrupted(config, rng):
+            truth = real_simulate_truth(config, rng)
+            measurements = truth.measurements.copy()
+            measurements[3, 1] = np.nan
+            measurements[7, 0] = np.inf
+            return dataclasses.replace(truth, measurements=measurements)
+
+        monkeypatch.setattr(harness_module, "simulate_truth", corrupted)
+        config = small_config(runs=1)
+        record = run_single(config, 0)
+        assert not record.results
+        assert set(record.failures) == set(config.variants)
+        for reason in record.failures.values():
+            assert reason.startswith("InvalidMeasurementError: ")
+            assert "step 4 (row 3)" in reason

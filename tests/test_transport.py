@@ -8,12 +8,14 @@ from otfilter.errors import (
     InvalidEnsembleError,
     InvalidPlanError,
     MarginalInfeasibilityError,
+    NonconvergenceError,
 )
 from otfilter.transport import (
     CostMatrix,
     CostMetric,
     TransportPlan,
     WeightVector,
+    _transportation_simplex,
     apply_transport,
     build_cost_matrix,
     solve_transport,
@@ -136,6 +138,18 @@ class TestSolveTransport:
             np.testing.assert_allclose(plan.T.sum(axis=0), 1.0 / n, atol=1e-9)
             np.testing.assert_allclose(plan.T.sum(axis=1), w.w, atol=1e-9)
             assert abs(plan.T.sum() - 1.0) <= 1e-9
+
+    def test_iteration_limit_reports_diagnostics(self):
+        # This instance needs two pivots, so one iteration cannot finish it.
+        rng = np.random.default_rng(3)
+        cost = build_cost_matrix(Ensemble(rng.normal(size=(6, 2)))).D
+        supply = random_weights(rng, 6).w
+        with pytest.raises(NonconvergenceError) as info:
+            _transportation_simplex(cost, supply, np.full(6, 1.0 / 6), max_iterations=1)
+        diagnostics = info.value.diagnostics
+        assert diagnostics["iterations"] == 1
+        assert diagnostics["size"] == 6
+        assert diagnostics["most_negative_reduced_cost"] < -1e-11
 
     def test_spanning_tree_counts(self):
         # Scoins' formula for K_{n,m}: n^(m-1) * m^(n-1)
