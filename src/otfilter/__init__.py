@@ -57,8 +57,6 @@ from .models import (
     MeasurementModel,
     PendulumParams,
     augment_measurement,
-    gaussian_likelihood,
-    measure,
     pendulum_constraint,
     pendulum_constraint_spec,
     pendulum_derivative,
@@ -77,13 +75,11 @@ from .sampling import (
 from .transport import (
     CostMatrix,
     CostMetric,
-    PlanDiagnostics,
     TransportPlan,
     WeightVector,
     apply_transport,
     build_cost_matrix,
     solve_transport,
-    verify_plan,
 )
 
 __version__ = "0.1.0"

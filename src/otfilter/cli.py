@@ -20,6 +20,7 @@ import numpy as np
 
 from .ensemble import Ensemble
 from .errors import ConfigError, OTFilterError
+from .filters import FilterVariant
 from .harness import (
     config_from_json,
     config_to_dict,
@@ -40,7 +41,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 
-VARIANT_CHOICES = ("otf", "otproj", "otnleq", "otma", "otnleqma", "all")
+VARIANT_CHOICES = tuple(v.value for v in FilterVariant) + ("all",)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -110,11 +110,8 @@ class FilterConfig:
 
 @dataclass(frozen=True)
 class StepDiagnostics:
-    """Which pipeline stages ran, and any numerical fallbacks they took."""
+    """Numerical fallbacks a step took."""
 
-    augmented_measurement: bool = False
-    projection_applied: bool = False
-    feedback_applied: bool = False
     degenerate_weights: bool = False
     sigma_dd_regularized: bool = False
 
@@ -255,9 +252,8 @@ def filter_step(
     """Advance one measurement interval: propagate, weight, resample, and
     apply the variant's projection/feedback policy.
 
-    ``y`` must already match the variant's measurement model: the stacked
-    [y; d] observation for the augmented variants, the plain measurement
-    otherwise.
+    ``y`` is the plain measurement; the augmented variants stack the
+    constraint target [y; d] themselves.
     """
     variant = FilterVariant(variant)
     model = config.augmented() if variant.uses_augmentation else config.measurement
@@ -270,16 +266,14 @@ def filter_step(
         process_noise_cov=config.process_noise_cov,
         rng=rng,
     )
-    weights, degenerate = compute_weights(prior, y, model)
+    weights, degenerate = compute_weights(prior, model.effective_observation(y), model)
     posterior = ot_update(prior, weights, config.metric)
 
-    projected_flag = False
     regularized_flag = False
     if variant.uses_projection:
         reported, artifacts = constraint_projection(
             posterior, config.constraint, config.projection_innovation
         )
-        projected_flag = True
         regularized_flag = artifacts.regularized
         fed_forward = reported if variant.uses_feedback else posterior
     else:
@@ -292,9 +286,6 @@ def filter_step(
         k=state.k + 1,
         t=state.t + config.dt,
         diagnostics=StepDiagnostics(
-            augmented_measurement=variant.uses_augmentation,
-            projection_applied=projected_flag,
-            feedback_applied=projected_flag and variant.uses_feedback,
             degenerate_weights=degenerate,
             sigma_dd_regularized=regularized_flag,
         ),
@@ -329,14 +320,13 @@ def run_filter(
         raise InvalidMeasurementError(
             f"measurement for step {row + 1} (row {row}) is not finite"
         )
-    model = config.augmented() if variant.uses_augmentation else config.measurement
 
     state = FilterState(posterior=initial, reported=initial)
     times, means, stds, errors = [], [], [], []
     degenerate_steps = 0
     regularized_steps = 0
     for y in measurements:
-        state = filter_step(state, model.effective_observation(y), variant, config, rng)
+        state = filter_step(state, y, variant, config, rng)
         est = mean(state.reported)
         times.append(state.t)
         means.append(est)

@@ -13,7 +13,8 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from enum import Enum
 from pathlib import Path
 
 import numpy as np
@@ -39,23 +40,6 @@ from .transport import CostMetric
 ALL_VARIANTS = tuple(FilterVariant)
 
 _DEFAULT_SPREAD_DIAG = (0.05**2, 0.05**2, 0.01**2, 0.01**2)
-
-_CONFIG_KEYS = {
-    "dt",
-    "t_final",
-    "N",
-    "substeps",
-    "pendulum",
-    "R_diag",
-    "sigma_g",
-    "variants",
-    "runs",
-    "base_seed",
-    "initial_spread",
-    "initial_angle_deg",
-    "metric",
-    "projection_innovation",
-}
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,6 +106,10 @@ class ExperimentConfig:
 
 
 def validate_config(config: ExperimentConfig) -> None:
+    for name in ("dt", "t_final", "R_diag", "sigma_g", "initial_angle_deg"):
+        value = getattr(config, name)
+        if not math.isfinite(value):
+            raise ConfigError(f"{name} must be finite, got {value}")
     if config.dt <= 0:
         raise ConfigError(f"dt must be positive, got {config.dt}")
     if config.t_final < config.dt:
@@ -145,51 +133,47 @@ def validate_config(config: ExperimentConfig) -> None:
         raise ConfigError("initial_spread must be symmetric")
     if np.linalg.eigvalsh(spread).min() <= 0:
         raise ConfigError("initial_spread must be positive definite")
-    if not math.isfinite(config.initial_angle_deg):
-        raise ConfigError("initial_angle_deg must be finite")
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
-    """Build a config from a JSON-style dict; unknown keys are rejected."""
+    """Build a config from a JSON-style dict; unknown keys are rejected.
+
+    Scalars and enums are converted to the type of their field's default.
+    """
     if not isinstance(raw, dict):
         raise ConfigError(f"config must be a JSON object, got {type(raw).__name__}")
-    unknown = set(raw) - _CONFIG_KEYS
+    defaults = {f.name: f.default for f in fields(ExperimentConfig)}
+    unknown = set(raw) - set(defaults)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     kwargs: dict = {}
-    for key in ("dt", "t_final", "R_diag", "sigma_g", "initial_angle_deg"):
-        if key in raw:
-            kwargs[key] = float(raw[key])
-    for key in ("N", "substeps", "runs", "base_seed"):
-        if key in raw:
-            kwargs[key] = int(raw[key])
-    if "pendulum" in raw:
-        pend = raw["pendulum"]
-        if not isinstance(pend, dict) or set(pend) - {"L", "g"}:
-            raise ConfigError("pendulum must be an object with keys L and g")
+    for key, value in raw.items():
         try:
-            kwargs["pendulum"] = PendulumParams(**{k: float(v) for k, v in pend.items()})
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-    if "variants" in raw:
-        kwargs["variants"] = parse_variants(raw["variants"])
-    if "initial_spread" in raw:
-        spread = np.asarray(raw["initial_spread"], dtype=float)
-        if spread.ndim == 1:
-            if spread.size != 4:
-                raise ConfigError("diagonal initial_spread needs 4 variances")
-            spread = np.diag(spread)
-        kwargs["initial_spread"] = spread
-    for key, enum_type in (("metric", CostMetric), ("projection_innovation", ProjectionInnovation)):
-        if key in raw:
-            try:
-                kwargs[key] = enum_type(raw[key])
-            except ValueError as exc:
-                raise ConfigError(f"invalid {key}: {raw[key]!r}") from exc
+            kwargs[key] = _parse_field(key, value, defaults[key])
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"invalid {key}: {exc}") from exc
     try:
         return ExperimentConfig(**kwargs)
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
+
+
+def _parse_field(key: str, value: object, default: object) -> object:
+    """One raw config value as its field's type."""
+    if key == "pendulum":
+        if not isinstance(value, dict) or set(value) - {"L", "g"}:
+            raise ConfigError("pendulum must be an object with keys L and g")
+        return PendulumParams(**{k: float(v) for k, v in value.items()})
+    if key == "variants":
+        return parse_variants(value)
+    if key == "initial_spread":
+        spread = np.asarray(value, dtype=float)
+        if spread.ndim == 1:
+            if spread.size != 4:
+                raise ConfigError("diagonal initial_spread needs 4 variances")
+            spread = np.diag(spread)
+        return spread
+    return type(default)(value)
 
 
 def config_from_json(path: str | Path) -> ExperimentConfig:
@@ -205,22 +189,19 @@ def config_from_json(path: str | Path) -> ExperimentConfig:
 
 def config_to_dict(config: ExperimentConfig) -> dict:
     """JSON-ready echo of a config, mirroring the accepted input schema."""
-    return {
-        "dt": config.dt,
-        "t_final": config.t_final,
-        "N": config.N,
-        "substeps": config.substeps,
-        "pendulum": {"L": config.pendulum.L, "g": config.pendulum.g},
-        "R_diag": config.R_diag,
-        "sigma_g": config.sigma_g,
-        "variants": [v.value for v in config.variants],
-        "runs": config.runs,
-        "base_seed": config.base_seed,
-        "initial_spread": config.initial_spread.tolist(),
-        "initial_angle_deg": config.initial_angle_deg,
-        "metric": config.metric.value,
-        "projection_innovation": config.projection_innovation.value,
-    }
+    echo = {}
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if f.name == "pendulum":
+            value = {"L": value.L, "g": value.g}
+        elif f.name == "variants":
+            value = [v.value for v in value]
+        elif f.name == "initial_spread":
+            value = value.tolist()
+        elif isinstance(value, Enum):
+            value = value.value
+        echo[f.name] = value
+    return echo
 
 
 def parse_variants(spec: object) -> tuple[FilterVariant, ...]:

@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .ensemble import Ensemble, StateVector
+from .ensemble import Ensemble
 from .errors import DecompositionError, SingularCovarianceError
 
 DEFAULT_CONSTRAINT_SIGMA = 5e-2
@@ -28,8 +28,10 @@ class PendulumParams:
     g: float = 9.8
 
     def __post_init__(self):
-        if self.L <= 0 or self.g <= 0:
-            raise ValueError(f"L and g must be positive, got L={self.L}, g={self.g}")
+        if not (0 < self.L < np.inf and 0 < self.g < np.inf):
+            raise ValueError(
+                f"L and g must be positive and finite, got L={self.L}, g={self.g}"
+            )
 
 
 @dataclass(frozen=True)
@@ -68,9 +70,13 @@ class MeasurementModel:
 
 @dataclass(frozen=True)
 class ConstraintSpec:
-    """Equality constraint g(x) = d with g: R^n -> R^s."""
+    """Equality constraint g(x) = d with g: R^n -> R^s.
 
-    g_fn: Callable[[StateVector], np.ndarray]
+    ``g_fn`` is evaluated on a whole ensemble at once: it maps (N, n) members
+    to (N, s) values, or to (N,) values when s = 1.
+    """
+
+    g_fn: Callable[[np.ndarray], np.ndarray]
     d: np.ndarray
 
     def __post_init__(self):
@@ -86,7 +92,8 @@ class ConstraintSpec:
     def evaluate(self, members: np.ndarray) -> np.ndarray:
         """Constraint values for each member, (N, s)."""
         members = np.atleast_2d(members)
-        return np.array([np.atleast_1d(self.g_fn(x)) for x in members], dtype=float)
+        values = np.asarray(self.g_fn(members), dtype=float)
+        return values.reshape(members.shape[0], self.dim)
 
 
 @dataclass(frozen=True)
@@ -208,31 +215,15 @@ def propagate_ensemble(
     return Ensemble(members)
 
 
-def measure(
-    state: StateVector, model: MeasurementModel, rng: np.random.Generator
-) -> np.ndarray:
-    """One noisy measurement H x + v, deterministic given the generator state."""
-    chol = np.linalg.cholesky(model.R)
-    return model.H @ np.asarray(state, dtype=float) + chol @ rng.standard_normal(
-        model.dim
-    )
-
-
-def gaussian_likelihood(
+def gaussian_log_likelihoods(
     y: np.ndarray, predicted: np.ndarray, R: np.ndarray
-) -> float:
-    """Unnormalized Gaussian likelihood exp(-0.5 r^T R^-1 r); peak value 1.
+) -> np.ndarray:
+    """Log of the unnormalized Gaussian likelihood -0.5 r^T R^-1 r for a batch
+    of predictions, (N,); its peak is 0.
 
     The normalization constant is omitted because weights are renormalized
     downstream.
     """
-    return float(np.exp(gaussian_log_likelihoods(y, np.atleast_2d(predicted), R)[0]))
-
-
-def gaussian_log_likelihoods(
-    y: np.ndarray, predicted: np.ndarray, R: np.ndarray
-) -> np.ndarray:
-    """Log of the unnormalized likelihood for a batch of predictions, (N,)."""
     R = np.atleast_2d(np.asarray(R, dtype=float))
     try:
         chol = np.linalg.cholesky(R)
@@ -253,7 +244,7 @@ def pendulum_constraint(state: np.ndarray) -> float | np.ndarray:
 def pendulum_constraint_spec(params: PendulumParams) -> ConstraintSpec:
     """Rod-length constraint x^2 + y^2 = L^2 as a ConstraintSpec."""
     return ConstraintSpec(
-        g_fn=lambda s: np.atleast_1d(pendulum_constraint(s)),
+        g_fn=pendulum_constraint,
         d=np.array([params.L**2]),
     )
 

@@ -132,7 +132,7 @@ def test_criterion_3_linear_constraint_exactness():
         A = rng.normal(size=(s_dim, n_dim))
         b = rng.normal(size=s_dim)
         d = rng.normal(size=s_dim)
-        spec = ConstraintSpec(g_fn=lambda x, A=A, b=b: A @ x + b, d=d)
+        spec = ConstraintSpec(g_fn=lambda x, A=A, b=b: x @ A.T + b, d=d)
         e = Ensemble(rng.normal(size=(int(rng.integers(n_dim + 2, 40)), n_dim)))
         once, _ = constraint_projection(e, spec)
         worst_violation = max(

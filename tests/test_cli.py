@@ -46,6 +46,13 @@ class TestValidateConfig:
         path.write_text(json.dumps({"N": 1}))
         assert main(["validate-config", str(path)]) == EXIT_CONFIG
 
+    def test_malformed_and_non_finite_scalars(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        for text in ('{"dt": "abc"}', '{"N": null}', '{"sigma_g": NaN}'):
+            path.write_text(text)
+            assert main(["validate-config", str(path)]) == EXIT_CONFIG
+            assert "config error" in capsys.readouterr().err
+
 
 class TestRun:
     def test_run_writes_series_and_summary(self, config_path, tmp_path, capsys):

@@ -72,12 +72,9 @@ class TestVariantDispatch:
         y = initial_truth()[:2]
         for variant in FilterVariant:
             state = FilterState(posterior=ensemble, reported=ensemble)
-            model = config.augmented() if variant.uses_augmentation else config.measurement
-            out = filter_step(state, model.effective_observation(y), variant, config)
-            d = out.diagnostics
-            assert d.augmented_measurement == variant.uses_augmentation
-            assert d.projection_applied == variant.uses_projection
-            assert d.feedback_applied == variant.uses_feedback
+            out = filter_step(state, y, variant, config)
+            if not variant.uses_projection:
+                assert not out.diagnostics.sigma_dd_regularized
             if variant is FilterVariant.OTPROJ:
                 # Reported is projected, fed-forward posterior is not.
                 assert out.reported is not out.posterior
@@ -225,7 +222,7 @@ class TestConstraintProjection:
             A = rng.normal(size=(s_dim, n_dim))
             b = rng.normal(size=s_dim)
             d = rng.normal(size=s_dim)
-            spec = ConstraintSpec(g_fn=lambda x, A=A, b=b: A @ x + b, d=d)
+            spec = ConstraintSpec(g_fn=lambda x, A=A, b=b: x @ A.T + b, d=d)
             e = Ensemble(rng.normal(size=(12, n_dim)))
             once, _ = constraint_projection(e, spec)
             assert np.max(np.abs(spec.evaluate(once.members) - d)) < 1e-8
@@ -309,20 +306,13 @@ class TestFilterStep:
             ):
                 state = FilterState(posterior=e, reported=e)
                 local_truth = truth.copy()
-                model = (
-                    config.augmented()
-                    if variant.uses_augmentation
-                    else config.measurement
-                )
                 step_rng = np.random.default_rng(1000 + seed)
                 for _ in range(6):
                     local_truth = propagate_state(
                         local_truth, PARAMS, config.dt, config.substeps
                     )
                     y = local_truth[:2] + 0.1 * step_rng.standard_normal(2)
-                    state = filter_step(
-                        state, model.effective_observation(y), variant, config
-                    )
+                    state = filter_step(state, y, variant, config)
                 est = mean(state.reported)
                 bucket.append(abs(math.hypot(est[0], est[1]) - 1.0))
         assert np.mean(ma_err) < np.mean(otf_err)

@@ -108,6 +108,33 @@ class TestConfig:
         with pytest.raises(ConfigError):
             config_from_json(path)
 
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            {"dt": "abc"},
+            {"dt": [1]},
+            {"N": None},
+            {"N": math.inf},
+            {"initial_spread": "a"},
+            {"dt": math.nan},
+            {"t_final": math.inf},
+            {"R_diag": math.nan},
+            {"sigma_g": math.nan},
+            {"pendulum": {"L": math.nan}},
+            {"pendulum": {"g": math.inf}},
+        ],
+        ids=["dt-str", "dt-list", "N-null", "N-inf", "spread-str", "dt-nan",
+             "t_final-inf", "R_diag-nan", "sigma_g-nan", "L-nan", "g-inf"],
+    )
+    def test_malformed_or_non_finite_values_rejected(self, raw):
+        with pytest.raises(ConfigError):
+            config_from_dict(raw)
+
+    def test_scalars_take_their_field_type(self):
+        echo = config_to_dict(config_from_dict({"dt": 1, "N": 12.0}))
+        assert type(echo["dt"]) is float and echo["dt"] == 1.0
+        assert type(echo["N"]) is int and echo["N"] == 12
+
     def test_enum_fields_parsed(self):
         config = config_from_dict(
             {"metric": "sqeuclidean", "projection_innovation": "standard"}
@@ -141,6 +168,16 @@ class TestSimulateTruth:
         np.testing.assert_allclose(
             truth.measurements, truth.states[:, :2], atol=1e-10
         )
+
+    def test_measurement_noise_has_zero_mean(self):
+        # 4000 steps from the hanging equilibrium, where one RK4 substep per
+        # step stays stable; the residuals are the measurement noise draws.
+        config = small_config(t_final=200.0, substeps=1, initial_angle_deg=90.0)
+        truth = simulate_truth(config, np.random.default_rng(0))
+        residuals = truth.measurements - truth.states[:, :2]
+        assert residuals.shape == (4000, 2)
+        # Standard error 0.1/sqrt(4000) ~ 1.6e-3; allow 5 sigma.
+        assert np.max(np.abs(residuals.mean(axis=0))) < 8e-3
 
     def test_deterministic_given_seed(self):
         config = small_config()

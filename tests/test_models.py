@@ -13,9 +13,7 @@ from otfilter.models import (
     MeasurementModel,
     PendulumParams,
     augment_measurement,
-    gaussian_likelihood,
     gaussian_log_likelihoods,
-    measure,
     pendulum_constraint,
     pendulum_constraint_spec,
     pendulum_derivative,
@@ -130,62 +128,37 @@ class TestPropagate:
         assert worst < 1e-6
 
 
-class TestMeasure:
-    def test_tiny_noise_recovers_positions(self):
-        model = pendulum_measurement_model(1e-30)
-        y = measure(initial_state(30.0), model, np.random.default_rng(2))
-        np.testing.assert_allclose(y, initial_state(30.0)[:2], atol=1e-10)
-
-    def test_zero_state_mean_over_seeds(self):
-        model = pendulum_measurement_model(0.01)
-        draws = np.array(
-            [
-                measure(np.zeros(4), model, np.random.default_rng(seed))
-                for seed in range(4000)
-            ]
-        )
-        # Standard error 0.1/sqrt(4000) ~ 1.6e-3; allow 5 sigma.
-        assert np.max(np.abs(draws.mean(axis=0))) < 8e-3
-
-    def test_deterministic_given_seed(self):
-        model = pendulum_measurement_model(0.01)
-        a = measure(initial_state(), model, np.random.default_rng(7))
-        b = measure(initial_state(), model, np.random.default_rng(7))
-        np.testing.assert_array_equal(a, b)
-
-
 class TestGaussianLikelihood:
     def test_peak_value_is_one(self):
         y = np.array([0.3, -0.4])
-        assert gaussian_likelihood(y, y, 0.01 * np.eye(2)) == 1.0
+        assert gaussian_log_likelihoods(y, y, 0.01 * np.eye(2))[0] == 0.0
 
     def test_known_exponent(self):
         y = np.array([0.1, 0.0])
-        value = gaussian_likelihood(y, np.zeros(2), 0.01 * np.eye(2))
-        np.testing.assert_allclose(value, math.exp(-0.5), rtol=1e-12)
+        value = gaussian_log_likelihoods(y, np.zeros(2), 0.01 * np.eye(2))[0]
+        np.testing.assert_allclose(value, -0.5, rtol=1e-12)
 
     def test_quadratic_log_scaling(self):
         R = 0.04 * np.eye(2)
         r = np.array([0.05, -0.02])
-        l1 = gaussian_likelihood(r, np.zeros(2), R)
-        l2 = gaussian_likelihood(2 * r, np.zeros(2), R)
-        np.testing.assert_allclose(math.log(l2), 4 * math.log(l1), rtol=1e-10)
+        l1 = gaussian_log_likelihoods(r, np.zeros(2), R)[0]
+        l2 = gaussian_log_likelihoods(2 * r, np.zeros(2), R)[0]
+        np.testing.assert_allclose(l2, 4 * l1, rtol=1e-10)
 
     def test_symmetry_in_arguments(self):
         rng = np.random.default_rng(3)
         a, b = rng.normal(size=2), rng.normal(size=2)
         R = np.diag([0.3, 0.7])
-        assert gaussian_likelihood(a, b, R) == pytest.approx(
-            gaussian_likelihood(b, a, R)
+        assert gaussian_log_likelihoods(a, b, R)[0] == pytest.approx(
+            gaussian_log_likelihoods(b, a, R)[0]
         )
 
     def test_decreasing_in_radius(self):
         R = 0.5 * np.eye(1)
-        values = [
-            gaussian_likelihood(np.array([r]), np.zeros(1), R)
-            for r in (0.0, 0.5, 1.0, 2.0)
-        ]
-        assert all(values[i] > values[i + 1] for i in range(3))
+        radii = np.array([[0.0], [0.5], [1.0], [2.0]])
+        values = gaussian_log_likelihoods(np.zeros(1), radii, R)
+        assert values.shape == (4,)
+        assert np.all(np.diff(values) < 0)
 
     def test_singular_R_rejected(self):
         with pytest.raises(SingularCovarianceError):
@@ -210,6 +183,14 @@ class TestConstraint:
         vals = spec.evaluate(np.array([[3.0, 4.0, 0.0, 0.0]]))
         np.testing.assert_array_equal(vals, [[25.0]])
 
+    def test_batched_evaluate_matches_member_loop(self):
+        spec = pendulum_constraint_spec(PARAMS)
+        rng = np.random.default_rng(4)
+        for n in (1, 2, 12, 100):
+            members = rng.normal(size=(n, 4)) * 10.0 ** rng.uniform(-3, 3)
+            loop = np.array([[pendulum_constraint(x)] for x in members])
+            np.testing.assert_array_equal(spec.evaluate(members), loop)
+
 
 class TestAugmentedModel:
     def test_dimensions_and_stacking(self):
@@ -233,9 +214,9 @@ class TestAugmentedModel:
         member = initial_state(30.0)[None, :]
         y = member[0, :2]
         pred = aug.predict_members(member)
-        full = gaussian_likelihood(aug.effective_observation(y), pred[0], aug.noise_cov())
-        base_only = gaussian_likelihood(y, base.predict_members(member)[0], base.R)
-        np.testing.assert_allclose(full, base_only, rtol=1e-12)
+        full = gaussian_log_likelihoods(aug.effective_observation(y), pred, aug.noise_cov())
+        base_only = gaussian_log_likelihoods(y, base.predict_members(member), base.R)
+        np.testing.assert_allclose(np.exp(full), np.exp(base_only), rtol=1e-12)
 
     def test_nonpositive_sigma_rejected(self):
         base = pendulum_measurement_model(0.01)

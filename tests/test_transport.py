@@ -19,7 +19,6 @@ from otfilter.transport import (
     apply_transport,
     build_cost_matrix,
     solve_transport,
-    verify_plan,
 )
 
 from oracle_transport import min_cost_by_enumeration, spanning_tree_count
@@ -223,31 +222,6 @@ class TestApplyTransport:
             np.testing.assert_allclose(out.members, e.members, atol=1e-10)
 
 
-class TestVerifyPlan:
-    def test_valid_plan_passes(self):
-        rng = np.random.default_rng(29)
-        e = Ensemble(rng.normal(size=(8, 2)))
-        w = random_weights(rng, 8)
-        plan = solve_transport(build_cost_matrix(e), w)
-        report = verify_plan(plan, w, 1e-9)
-        assert report.passed
-
-    def test_negative_entry_reported(self):
-        T = np.full((2, 2), 0.25)
-        T[0, 1] = -1e-6
-        T[0, 0] = 0.5 + 1e-6
-        report = verify_plan(T, WeightVector(np.array([0.5, 0.5])), 1e-9)
-        assert not report.passed
-        assert report.min_entry == pytest.approx(-1e-6)
-
-    def test_row_sum_violation_reported(self):
-        T = np.full((2, 2), 0.25)
-        w = WeightVector(np.array([0.5 + 1e-3, 0.5 - 1e-3]))
-        report = verify_plan(T, w, 1e-9)
-        assert not report.passed
-        assert report.max_row_violation == pytest.approx(1e-3)
-
-
 class TestPlanValidation:
     def test_negative_entries_rejected(self):
         with pytest.raises(InvalidPlanError):
@@ -256,6 +230,10 @@ class TestPlanValidation:
     def test_bad_column_sums_rejected(self):
         with pytest.raises(InvalidPlanError):
             TransportPlan(T=np.array([[0.4, 0.1], [0.0, 0.5]]), objective_value=0.0)
+
+    def test_non_finite_entries_rejected(self):
+        with pytest.raises(InvalidPlanError, match="finite"):
+            TransportPlan(T=np.full((2, 2), np.nan), objective_value=0.0)
 
     def test_cost_requires_zero_diagonal(self):
         with pytest.raises(InvalidPlanError):
