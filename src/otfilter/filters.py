@@ -27,7 +27,7 @@ from enum import Enum
 import numpy as np
 
 from .ensemble import Ensemble, covariance, cross_covariance, mean
-from .errors import InsufficientSamplesError, InvalidMeasurementError
+from .errors import InsufficientSamplesError, InvalidEnsembleError, InvalidMeasurementError
 from .models import (
     DEFAULT_CONSTRAINT_SIGMA,
     AugmentedMeasurementModel,
@@ -258,14 +258,19 @@ def filter_step(
     variant = FilterVariant(variant)
     model = config.augmented() if variant.uses_augmentation else config.measurement
 
-    prior = propagate_ensemble(
-        state.posterior,
-        config.pendulum,
-        config.dt,
-        config.substeps,
-        process_noise_cov=config.process_noise_cov,
-        rng=rng,
-    )
+    try:
+        prior = propagate_ensemble(
+            state.posterior,
+            config.pendulum,
+            config.dt,
+            config.substeps,
+            process_noise_cov=config.process_noise_cov,
+            rng=rng,
+        )
+    except InvalidEnsembleError as exc:
+        raise InvalidEnsembleError(
+            f"step {state.k + 1}: propagated ensemble is not finite"
+        ) from exc
     weights, degenerate = compute_weights(prior, model.effective_observation(y), model)
     posterior = ot_update(prior, weights, config.metric)
 

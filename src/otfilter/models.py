@@ -183,8 +183,11 @@ def propagate_state(
         raise ValueError(f"substeps must be >= 1, got {substeps}")
     h = dt / substeps
     out = np.asarray(state, dtype=float)
-    for _ in range(substeps):
-        out = rk4_step(lambda s: pendulum_derivative(s, params), out, h)
+    # A diverging member overflows to inf or nan; callers check finiteness
+    # and raise a typed error, so numpy's warnings would only add noise.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(substeps):
+            out = rk4_step(lambda s: pendulum_derivative(s, params), out, h)
     return out
 
 

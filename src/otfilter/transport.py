@@ -29,6 +29,12 @@ subtraction from its parent's along the tree.  Optimal vertices often tie
 on which one the solver returns, so a change to any of these rules changes
 outputs.  ``tests/test_solver_reference.py`` holds the solver to a frozen
 copy of its earlier pivot sequence, bit for bit.
+
+The simplex and its least-cost start run in C (``_simplex.c``, built at the
+first solve by ``_native``) wherever a C compiler works.  The kernel makes
+the same pivots with the same floating-point operations;
+``_transportation_simplex`` below is the readable specification and the
+fallback without a compiler, and returns the same plans.
 """
 
 from __future__ import annotations
@@ -186,9 +192,9 @@ def solve_transport(cost: CostMatrix, weights: WeightVector) -> TransportPlan:
             # One live row: the column marginals dictate the whole plan.
             T[idx[0]] = demand
         else:
-            T[idx, :] = _transportation_simplex(cost.D[idx, :], supply[idx], demand)
+            T[idx, :] = _simplex(cost.D[idx, :], supply[idx], demand)
     else:
-        T = _transportation_simplex(cost.D, supply, demand)
+        T = _simplex(cost.D, supply, demand)
 
     return _finalize_plan(T, cost.D, supply, demand)
 
@@ -222,6 +228,26 @@ def _finalize_plan(
         )
     objective = float(np.einsum("ij,ij->", T, D))
     return TransportPlan(T=T, objective_value=objective)
+
+
+def _load_kernel():
+    """The compiled kernel, or None to run the Python loop.
+
+    ``_native`` is imported here, at the first solve, so that importing the
+    package loads no compiler machinery; tests replace this function to
+    choose a solver path.
+    """
+    from ._native import load_kernel
+
+    return load_kernel()
+
+
+def _simplex(cost: np.ndarray, supply: np.ndarray, demand: np.ndarray) -> np.ndarray:
+    """The compiled kernel when it loads, else the Python loop: same plans."""
+    kernel = _load_kernel()
+    if kernel is None:
+        return _transportation_simplex(cost, supply, demand)
+    return kernel.transportation_simplex(cost, supply, demand)
 
 
 def _initial_basic_solution(

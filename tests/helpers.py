@@ -1,8 +1,14 @@
-"""Shared statistical and geometric oracles for the test suite."""
+"""Shared statistical and geometric oracles for the test suite, and the
+transport solver paths that tests run on."""
 
+import dataclasses
 import math
+import shutil
 
 import numpy as np
+import pytest
+
+from otfilter import _native
 
 
 def ks_statistic(a: np.ndarray, b: np.ndarray) -> float:
@@ -97,3 +103,36 @@ def points_in_hull(points: np.ndarray, hull: np.ndarray, tol: float = 1e-9) -> n
 
 # chi-square 0.99 quantiles frozen for the angular-uniformity gate
 CHI2_99_DOF19 = 36.19086912927004
+
+
+# The transport solver's paths: the Python loop and the compiled kernel,
+# the latter with scalar and with AVX2 pricing.
+SOLVER_PATHS = ("python", "c-scalar", "c-avx2")
+
+
+def solver_kernels() -> list[tuple[str, object]]:
+    """``(path, kernel)`` for each solver path this machine runs, the kernel
+    being None for the Python loop.
+
+    The C paths are left out only where no C compiler is installed, and AVX2
+    pricing where the CPU lacks AVX2; a compiler that is present but cannot
+    build the kernel fails the test.
+    """
+    paths = [("python", None)]
+    kernel = _native.load_kernel()
+    if kernel is None:
+        if shutil.which(_native._compiler()[0]) is not None:
+            pytest.fail("a C compiler is installed but the transport kernel did not build")
+        return paths
+    paths.append(("c-scalar", dataclasses.replace(kernel, avx2=False)))
+    if kernel.avx2:
+        paths.append(("c-avx2", kernel))
+    return paths
+
+
+def kernel_for(path: str):
+    """The kernel of one solver path; skips a path this machine cannot run."""
+    kernels = dict(solver_kernels())
+    if path not in kernels:
+        pytest.skip(f"solver path {path} does not run on this machine")
+    return kernels[path]

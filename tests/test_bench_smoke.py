@@ -1,0 +1,52 @@
+"""The benchmark runs end to end: one op per phase of each workload.
+
+Each case copies ``perfbench/``, ``BENCHMARK.json`` and ``src/`` into a
+temporary directory and runs ``perfbench/run.py --seconds 0`` there, so the
+repository's own ``.perfbench/`` records are never touched.  Only the
+schema and the correctness verdict are checked, never a speed.
+"""
+
+import json
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+CASES = [
+    pytest.param("sampler-bimodal", 0, id="sampler-bimodal-trace0"),
+    pytest.param("sampler-bimodal", 1, id="sampler-bimodal-trace1"),
+    pytest.param("pendulum-small-sq", 0, id="pendulum-small-sq-trace0"),
+    # The traced op's HiGHS cross-check fails on raw sqeuclidean costs near
+    # 1e-7, where HiGHS's absolute tolerances accept a suboptimal plan.
+    pytest.param("pendulum-small-sq", 1, id="pendulum-small-sq-trace1",
+                 marks=pytest.mark.xfail(strict=True, reason="HiGHS cross-check on raw tiny costs")),
+    pytest.param("pendulum-paper", 0, id="pendulum-paper-trace0", marks=pytest.mark.slow),
+]
+
+
+@pytest.mark.parametrize("workload, trace", CASES)
+def test_one_op_run_is_correct(tmp_path, workload, trace):
+    for name in ("perfbench", "src"):
+        shutil.copytree(ROOT / name, tmp_path / name,
+                        ignore=shutil.ignore_patterns("__pycache__", ".perfbench"))
+    shutil.copy(ROOT / "BENCHMARK.json", tmp_path)
+    done = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seconds", "0",
+         "--seed", "0", "--trace", str(trace)],
+        cwd=tmp_path, capture_output=True, text=True, timeout=600, check=False,
+    )
+    assert done.returncode == 0, done.stderr[-2000:]
+    result = json.loads(done.stdout.strip().splitlines()[-1])
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    declared = {m["name"] for m in spec["per_layer" if trace else "end_to_end"]}
+    assert result["failed"] == 0
+    assert set(result["metrics"]) == declared
+    if trace:
+        record = json.loads((tmp_path / ".perfbench" / workload / "result-trace1.json").read_text())
+        assert record["trace_checks"]["spans_nested"]
+        assert record["trace_checks"]["self_times_add_up"]
+    assert result["correct"], done.stdout[-2000:]

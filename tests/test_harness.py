@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -373,3 +374,19 @@ class TestRunSingle:
         for reason in record.failures.values():
             assert reason.startswith("InvalidMeasurementError: ")
             assert "step 4 (row 3)" in reason
+
+    def test_diverged_ensemble_names_its_step(self):
+        # With 12 members otnleqma's ensemble overflows at step 183 of this
+        # seed; the failure names the step and numpy warns about nothing.
+        config = config_from_dict(
+            {"N": 12, "metric": "sqeuclidean", "variants": ["otnleqma"],
+             "runs": 1, "base_seed": 679642288}
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            record = run_single(config, 0)
+        assert not record.results
+        assert record.failures == {
+            FilterVariant.OTNLEQMA:
+                "InvalidEnsembleError: step 183: propagated ensemble is not finite"
+        }

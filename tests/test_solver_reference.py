@@ -1,18 +1,20 @@
 """The transportation simplex against its frozen pre-rewrite reference.
 
 Output bytes of the filter depend on which optimal vertex the solver
-returns, so the tree-update solver must reproduce the reference's pivot
-sequence exactly: the same allocation array, bit for bit, or the same
-iteration-limit error with the same diagnostics.
+returns, so every solver path (the Python loop and the compiled kernel with
+either pricing loop) must reproduce the reference's pivot sequence exactly:
+the same allocation array, bit for bit, or the same iteration-limit error
+with the same diagnostics.
 """
 
 import numpy as np
 import pytest
 
+from otfilter import transport
 from otfilter.errors import NonconvergenceError
-from otfilter.transport import _transportation_simplex
 
 import reference_simplex
+from helpers import kernel_for, solver_kernels
 
 METRICS = ("euclidean", "sqeuclidean")
 
@@ -58,21 +60,24 @@ def _solve(solver, cost, supply, demand):
 
 
 def _assert_same(cost, supply):
-    """Run both solvers on the live rows of one instance, as solve_transport does."""
+    """Run the reference and every solver path on the live rows of one
+    instance, as solve_transport does."""
     n = cost.shape[1]
     live = supply > 0.0
     cost, supply = cost[live], supply[live]
     demand = np.full(n, 1.0 / n)
     expected = _solve(reference_simplex._transportation_simplex, cost, supply, demand)
-    got = _solve(_transportation_simplex, cost, supply, demand)
-    if isinstance(expected, NonconvergenceError):
-        assert isinstance(got, NonconvergenceError), "reference hit its limit, rewrite did not"
-        assert str(got) == str(expected)
-        assert got.diagnostics == expected.diagnostics
-    else:
-        assert isinstance(got, np.ndarray), f"rewrite raised {got!r}"
-        assert got.shape == expected.shape
-        assert np.array_equal(got, expected)
+    for path, kernel in solver_kernels():
+        solver = transport._transportation_simplex if kernel is None else kernel.transportation_simplex
+        got = _solve(solver, cost, supply, demand)
+        if isinstance(expected, NonconvergenceError):
+            assert isinstance(got, NonconvergenceError), f"{path}: reference hit its limit, path did not"
+            assert str(got) == str(expected)
+            assert got.diagnostics == expected.diagnostics, path
+        else:
+            assert isinstance(got, np.ndarray), f"{path} raised {got!r}"
+            assert got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes(), f"{path}: allocation bits differ"
     return expected
 
 
@@ -132,3 +137,19 @@ def test_non_square_instance_matches_reference(metric):
     cost = _cost(rng.normal(size=(30, 2)), metric)[:11]
     supply = rng.exponential(size=11)
     _assert_same(cost, supply / supply.sum())
+
+
+def test_least_cost_start_matches_python():
+    # The kernel's heap of row heads must pick the cells of the stable
+    # argsort scan in the same order, with the same allocations.
+    kernel = kernel_for("c-scalar")
+    rng = np.random.default_rng(20263)
+    instances = [*_instances(rng, 300, 2, 40), *_instances(rng, 4, 100, 300)]
+    signed_zeros = np.array([[0.0, -0.0, 1.0], [-0.0, 0.0, 0.0], [1.0, 0.0, -0.0]])
+    instances.append((signed_zeros, np.array([0.5, 0.25, 0.25])))
+    for cost, supply in instances:
+        live = supply > 0.0
+        cost, supply = cost[live], supply[live]
+        demand = np.full(cost.shape[1], 1.0 / cost.shape[1])
+        expected = transport._initial_basic_solution(cost, supply, demand)
+        assert kernel.initial_basic_solution(cost, supply, demand) == expected
