@@ -7,7 +7,7 @@ combination) keep estimates near a known state equality constraint.  The
 same resampling step doubles as a sampler for densities on convex supports.
 """
 
-from .ensemble import Ensemble, StateVector, covariance, cross_covariance, from_gaussian, mean
+from .ensemble import Ensemble, covariance, cross_covariance, from_gaussian, mean
 from .errors import (
     ConfigError,
     DecompositionError,
@@ -36,7 +36,6 @@ from .filters import (
     run_filter,
 )
 from .harness import (
-    AggregateResult,
     ExperimentConfig,
     MonteCarloResult,
     RunRecord,
@@ -56,7 +55,6 @@ from .models import (
     ConstraintSpec,
     MeasurementModel,
     PendulumParams,
-    augment_measurement,
     pendulum_constraint,
     pendulum_constraint_spec,
     pendulum_derivative,

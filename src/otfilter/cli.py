@@ -90,7 +90,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         config = dataclasses.replace(config, **overrides)
     result = monte_carlo(config)
     written = write_outputs(result, args.out, args.format)
-    for entry in result.aggregate.entries:
+    for entry in result.aggregate:
         print(
             f"{entry.variant.value}: avg RMS constraint error "
             f"{entry.avg_rms_constraint_error:.6f} "
@@ -103,6 +103,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_sample(args: argparse.Namespace) -> int:
     if args.n < 2:
         raise ConfigError(f"sample count must be at least 2, got {args.n}")
+    if args.seed < 0:
+        raise ConfigError(f"seed must be nonnegative, got {args.seed}")
     rng = np.random.default_rng(args.seed)
     out_dir = Path(args.out)
     if args.target == "bimodal":

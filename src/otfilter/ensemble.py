@@ -17,9 +17,6 @@ from .errors import (
     InvalidEnsembleError,
 )
 
-# A state is a plain 1-D float array; kept as an alias for signatures.
-StateVector = np.ndarray
-
 
 @dataclass(frozen=True)
 class Ensemble:
@@ -55,7 +52,7 @@ class Ensemble:
         return self.members.shape[1]
 
 
-def mean(e: Ensemble) -> StateVector:
+def mean(e: Ensemble) -> np.ndarray:
     """Coordinatewise arithmetic mean of the members."""
     return e.members.mean(axis=0)
 
@@ -97,7 +94,7 @@ def cross_covariance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def from_gaussian(
-    mean: StateVector,
+    mean: np.ndarray,
     cov: np.ndarray,
     n_members: int,
     rng: np.random.Generator,

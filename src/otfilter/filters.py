@@ -34,7 +34,6 @@ from .models import (
     ConstraintSpec,
     MeasurementModel,
     PendulumParams,
-    augment_measurement,
     gaussian_log_likelihoods,
     propagate_ensemble,
 )
@@ -102,10 +101,9 @@ class FilterConfig:
     sigma_g: float = DEFAULT_CONSTRAINT_SIGMA
     metric: CostMetric = CostMetric.EUCLIDEAN
     projection_innovation: ProjectionInnovation = ProjectionInnovation.STANDARD
-    process_noise_cov: np.ndarray | None = None
 
     def augmented(self) -> AugmentedMeasurementModel:
-        return augment_measurement(self.measurement, self.constraint, self.sigma_g)
+        return AugmentedMeasurementModel(self.measurement, self.constraint, self.sigma_g)
 
 
 @dataclass(frozen=True)
@@ -130,13 +128,8 @@ class FilterState:
 
 @dataclass(frozen=True)
 class ProjectionArtifacts:
-    """Statistics behind one projection: mean constraint value d_hat,
-    covariances Sigma_dd / Sigma_xd, and the gain applied to members."""
+    """Whether one projection ridge-regularized a near-singular Sigma_dd."""
 
-    d_hat: np.ndarray
-    sigma_dd: np.ndarray
-    sigma_xd: np.ndarray
-    gain: np.ndarray
     regularized: bool
 
 
@@ -232,14 +225,7 @@ def constraint_projection(
     else:
         innovations = values - d_hat[None, :]
     projected = Ensemble(members + innovations @ gain.T)
-    artifacts = ProjectionArtifacts(
-        d_hat=d_hat,
-        sigma_dd=sigma_dd,
-        sigma_xd=sigma_xd,
-        gain=gain,
-        regularized=regularized,
-    )
-    return projected, artifacts
+    return projected, ProjectionArtifacts(regularized=regularized)
 
 
 def filter_step(
@@ -247,7 +233,6 @@ def filter_step(
     y: np.ndarray,
     variant: FilterVariant,
     config: FilterConfig,
-    rng: np.random.Generator | None = None,
 ) -> FilterState:
     """Advance one measurement interval: propagate, weight, resample, and
     apply the variant's projection/feedback policy.
@@ -260,12 +245,7 @@ def filter_step(
 
     try:
         prior = propagate_ensemble(
-            state.posterior,
-            config.pendulum,
-            config.dt,
-            config.substeps,
-            process_noise_cov=config.process_noise_cov,
-            rng=rng,
+            state.posterior, config.pendulum, config.dt, config.substeps
         )
     except InvalidEnsembleError as exc:
         raise InvalidEnsembleError(
@@ -302,7 +282,6 @@ def run_filter(
     measurements: np.ndarray,
     variant: FilterVariant,
     config: FilterConfig,
-    rng: np.random.Generator | None = None,
 ) -> FilterRunResult:
     """Run one filter over a measurement series.
 
@@ -331,7 +310,7 @@ def run_filter(
     degenerate_steps = 0
     regularized_steps = 0
     for y in measurements:
-        state = filter_step(state, y, variant, config, rng)
+        state = filter_step(state, y, variant, config)
         est = mean(state.reported)
         times.append(state.t)
         means.append(est)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from enum import Enum
@@ -118,6 +119,8 @@ def validate_config(config: ExperimentConfig) -> None:
         raise ConfigError(f"ensemble size N must be at least 2, got {config.N}")
     if config.runs < 1:
         raise ConfigError(f"runs must be at least 1, got {config.runs}")
+    if config.base_seed < 0:
+        raise ConfigError(f"base_seed must be nonnegative, got {config.base_seed}")
     if config.substeps < 1:
         raise ConfigError(f"substeps must be at least 1, got {config.substeps}")
     if config.R_diag <= 0:
@@ -138,7 +141,7 @@ def validate_config(config: ExperimentConfig) -> None:
 def config_from_dict(raw: dict) -> ExperimentConfig:
     """Build a config from a JSON-style dict; unknown keys are rejected.
 
-    Scalars and enums are converted to the type of their field's default.
+    Numbers take their field's type without coercion (see ``_number``).
     """
     if not isinstance(raw, dict):
         raise ConfigError(f"config must be a JSON object, got {type(raw).__name__}")
@@ -163,17 +166,30 @@ def _parse_field(key: str, value: object, default: object) -> object:
     if key == "pendulum":
         if not isinstance(value, dict) or set(value) - {"L", "g"}:
             raise ConfigError("pendulum must be an object with keys L and g")
-        return PendulumParams(**{k: float(v) for k, v in value.items()})
+        return PendulumParams(**{k: _number(v) for k, v in value.items()})
     if key == "variants":
         return parse_variants(value)
     if key == "initial_spread":
-        spread = np.asarray(value, dtype=float)
+        entries = np.asarray(value, dtype=object)
+        spread = np.vectorize(_number, otypes=[float])(entries)
         if spread.ndim == 1:
             if spread.size != 4:
                 raise ConfigError("diagonal initial_spread needs 4 variances")
             spread = np.diag(spread)
         return spread
-    return type(default)(value)
+    if isinstance(default, Enum):
+        return type(default)(value)
+    return _number(value, type(default))
+
+
+def _number(value: object, kind: type = float) -> int | float:
+    """A JSON number as ``kind``: a bool, a string or, for an int field, a
+    fraction is rejected, never converted."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"expected a number, got {value!r}")
+    if kind is int and value != int(value):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return kind(value)
 
 
 def config_from_json(path: str | Path) -> ExperimentConfig:
@@ -248,20 +264,9 @@ class VariantAggregate:
 
 
 @dataclass(frozen=True)
-class AggregateResult:
-    entries: tuple[VariantAggregate, ...]
-
-    def by_variant(self, variant: FilterVariant) -> VariantAggregate:
-        for entry in self.entries:
-            if entry.variant is FilterVariant(variant):
-                return entry
-        raise KeyError(f"no aggregate entry for {variant}")
-
-
-@dataclass(frozen=True)
 class MonteCarloResult:
     config: ExperimentConfig
-    aggregate: AggregateResult
+    aggregate: tuple[VariantAggregate, ...]
     runs: tuple[RunRecord, ...]
 
 
@@ -328,22 +333,18 @@ def run_single(config: ExperimentConfig, run_index: int) -> RunRecord:
     )
 
 
-def _run_single_job(args: tuple[ExperimentConfig, int]) -> RunRecord:
-    return run_single(*args)
-
-
 def monte_carlo(config: ExperimentConfig, workers: int = 1) -> MonteCarloResult:
     """All runs, aggregated per variant over non-failed runs.
 
     Runs are independent; ``workers > 1`` fans them out to a process pool.
     Per-run seeding makes the result identical regardless of scheduling.
     """
-    jobs = [(config, r) for r in range(config.runs)]
+    indices = range(config.runs)
     if workers > 1 and config.runs > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_run_single_job, jobs))
+            records = list(pool.map(run_single, [config] * config.runs, indices))
     else:
-        records = [run_single(config, r) for r in range(config.runs)]
+        records = [run_single(config, r) for r in indices]
 
     entries = []
     for variant in config.variants:
@@ -362,9 +363,7 @@ def monte_carlo(config: ExperimentConfig, workers: int = 1) -> MonteCarloResult:
                 runs_failed=failed,
             )
         )
-    return MonteCarloResult(
-        config=config, aggregate=AggregateResult(entries=tuple(entries)), runs=tuple(records)
-    )
+    return MonteCarloResult(config=config, aggregate=tuple(entries), runs=tuple(records))
 
 
 CSV_HEADER = "t,x_true,y_true,x_est,y_est,std_x,std_y,std_vx,std_vy,constraint_error"
@@ -440,7 +439,7 @@ def write_outputs(
                 "runs_used": entry.runs_used,
                 "runs_failed": entry.runs_failed,
             }
-            for entry in result.aggregate.entries
+            for entry in result.aggregate
         ],
     }
     summary_path = out_dir / "summary.json"

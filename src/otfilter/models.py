@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .ensemble import Ensemble
-from .errors import DecompositionError, SingularCovarianceError
+from .errors import SingularCovarianceError
 
 DEFAULT_CONSTRAINT_SIGMA = 5e-2
 
@@ -136,15 +136,6 @@ class AugmentedMeasurementModel:
         return cov
 
 
-def augment_measurement(
-    base: MeasurementModel,
-    constraint: ConstraintSpec,
-    sigma_g: float = DEFAULT_CONSTRAINT_SIGMA,
-) -> AugmentedMeasurementModel:
-    """Append the constraint to the observation model as a perfect measurement."""
-    return AugmentedMeasurementModel(base=base, constraint=constraint, sigma_g=sigma_g)
-
-
 def pendulum_derivative(state: np.ndarray, params: PendulumParams) -> np.ndarray:
     """Cartesian pendulum kinematics; accepts a single state or an (N, 4) batch.
 
@@ -192,30 +183,10 @@ def propagate_state(
 
 
 def propagate_ensemble(
-    e: Ensemble,
-    params: PendulumParams,
-    dt: float,
-    substeps: int = 1,
-    process_noise_cov: np.ndarray | None = None,
-    rng: np.random.Generator | None = None,
+    e: Ensemble, params: PendulumParams, dt: float, substeps: int = 1
 ) -> Ensemble:
-    """Propagate every member through the dynamics, optionally adding one
-    Gaussian process-noise draw per member afterwards."""
-    members = propagate_state(e.members, params, dt, substeps)
-    if process_noise_cov is not None:
-        cov = np.asarray(process_noise_cov, dtype=float)
-        if cov.shape != (e.dim, e.dim):
-            raise DecompositionError(
-                f"process noise shape {cov.shape} does not match state dim {e.dim}"
-            )
-        eigvals, eigvecs = np.linalg.eigh(0.5 * (cov + cov.T))
-        if eigvals.min() < -1e-10:
-            raise DecompositionError("process noise covariance must be PSD")
-        if rng is None:
-            raise ValueError("process noise requires a random generator")
-        factor = eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))
-        members = members + rng.standard_normal(members.shape) @ factor.T
-    return Ensemble(members)
+    """Propagate every member through the dynamics."""
+    return Ensemble(propagate_state(e.members, params, dt, substeps))
 
 
 def gaussian_log_likelihoods(
@@ -254,7 +225,5 @@ def pendulum_constraint_spec(params: PendulumParams) -> ConstraintSpec:
 
 def pendulum_measurement_model(r_diag: float = 0.01) -> MeasurementModel:
     """Position-only observation of the pendulum bob with isotropic noise."""
-    if r_diag <= 0:
-        raise ValueError(f"measurement variance must be positive, got {r_diag}")
     H = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
     return MeasurementModel(H=H, R=r_diag * np.eye(2))

@@ -32,7 +32,6 @@ class TargetDensity:
     """Unnormalized density evaluated batchwise: (N, d) points -> (N,) values."""
 
     pdf: Callable[[np.ndarray], np.ndarray]
-    support: str = ""
 
 
 def ot_sample(
@@ -106,7 +105,7 @@ def bimodal_target(
         )
         return a + b
 
-    return TargetDensity(pdf=pdf, support="real line")
+    return TargetDensity(pdf=pdf)
 
 
 def uniform_annulus_target(r_in: float, r_out: float) -> TargetDensity:
@@ -120,7 +119,7 @@ def uniform_annulus_target(r_in: float, r_out: float) -> TargetDensity:
         radii = np.hypot(pts[:, 0], pts[:, 1])
         return np.where((radii >= r_in) & (radii <= r_out), 1.0 / area, 0.0)
 
-    return TargetDensity(pdf=pdf, support=f"annulus [{r_in}, {r_out}]")
+    return TargetDensity(pdf=pdf)
 
 
 def annulus_coverage(samples: Ensemble, r_in: float, r_out: float) -> float:

@@ -106,7 +106,6 @@ class CostMatrix:
     posterior share sample locations."""
 
     D: np.ndarray
-    metric: CostMetric
 
     def __post_init__(self):
         D = np.asarray(self.D, dtype=float)
@@ -117,8 +116,6 @@ class CostMatrix:
             raise InvalidPlanError("cost entries must be finite and nonnegative")
         if np.any(np.diag(D) != 0.0):
             raise InvalidPlanError("cost diagonal must be exactly zero")
-        if np.max(np.abs(D - D.T)) > 1e-12:
-            raise InvalidPlanError("cost matrix must be symmetric within 1e-12")
 
     @property
     def size(self) -> int:
@@ -165,16 +162,16 @@ def build_cost_matrix(
     sq = np.einsum("ijk,ijk->ij", diff, diff)
     D = sq if metric is CostMetric.SQUARED_EUCLIDEAN else np.sqrt(sq)
     np.fill_diagonal(D, 0.0)
-    return CostMatrix(D=D, metric=metric)
+    return CostMatrix(D=D)
 
 
 def solve_transport(cost: CostMatrix, weights: WeightVector) -> TransportPlan:
     """Minimize sum_ij t_ij D_ij over plans with row sums w_i, column sums 1/N.
 
     Rows with exactly zero weight carry no mass and are removed before the
-    simplex runs; ties between optimal vertices are broken arbitrarily, so
-    callers should rely on the objective value and marginals, not on a
-    particular T.
+    simplex runs.  Ties between optimal vertices are broken by the frozen
+    pivot rule of the module docstring, so equal inputs give the same T,
+    bit for bit, on every solver path.
     """
     n = cost.size
     if weights.size != n:

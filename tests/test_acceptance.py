@@ -184,14 +184,14 @@ def test_criterion_4_pendulum_divergence(study_batch):
 def test_criterion_5_variant_ordering(study_batch):
     agg = {
         entry.variant: entry.avg_rms_constraint_error
-        for entry in study_batch.aggregate.entries
+        for entry in study_batch.aggregate
     }
     otf = agg[FilterVariant.OTF]
     otproj = agg[FilterVariant.OTPROJ]
     otma = agg[FilterVariant.OTMA]
     otnleq = agg[FilterVariant.OTNLEQ]
     otnleqma = agg[FilterVariant.OTNLEQMA]
-    failed_runs = sum(e.runs_failed for e in study_batch.aggregate.entries)
+    failed_runs = sum(e.runs_failed for e in study_batch.aggregate)
 
     ordering = otnleqma < otnleq < otma < max(otf, otproj)
     proj_comparable = abs(otproj - otf) / otf < 0.2

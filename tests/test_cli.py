@@ -48,7 +48,8 @@ class TestValidateConfig:
 
     def test_malformed_and_non_finite_scalars(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
-        for text in ('{"dt": "abc"}', '{"N": null}', '{"sigma_g": NaN}'):
+        for text in ('{"dt": "abc"}', '{"N": null}', '{"sigma_g": NaN}',
+                     '{"N": 12.9}', '{"runs": true}', '{"dt": "0.05"}'):
             path.write_text(text)
             assert main(["validate-config", str(path)]) == EXIT_CONFIG
             assert "config error" in capsys.readouterr().err
@@ -83,6 +84,14 @@ class TestRun:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["config"]["base_seed"] == 11
         assert [e["variant"] for e in summary["aggregate"]] == ["otf"]
+
+    def test_negative_seed_is_config_error(self, config_path, tmp_path, capsys):
+        code = main(
+            ["run", "--config", str(config_path), "--seed", "-3",
+             "--out", str(tmp_path / "x")]
+        )
+        assert code == EXIT_CONFIG
+        assert "base_seed" in capsys.readouterr().err
 
     def test_solver_failure_maps_to_runtime_exit(
         self, config_path, tmp_path, monkeypatch
@@ -154,3 +163,10 @@ class TestSample:
             ["sample", "--target", "bimodal", "--n", "1", "--out", str(tmp_path)]
         )
         assert code == EXIT_CONFIG
+
+    def test_negative_seed_is_config_error(self, tmp_path, capsys):
+        code = main(
+            ["sample", "--target", "bimodal", "--seed", "-1", "--out", str(tmp_path)]
+        )
+        assert code == EXIT_CONFIG
+        assert "seed" in capsys.readouterr().err

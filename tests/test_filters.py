@@ -19,10 +19,10 @@ from otfilter.filters import (
     run_filter,
 )
 from otfilter.models import (
+    AugmentedMeasurementModel,
     ConstraintSpec,
     MeasurementModel,
     PendulumParams,
-    augment_measurement,
     pendulum_constraint_spec,
     pendulum_measurement_model,
     propagate_state,
@@ -107,7 +107,7 @@ class TestComputeWeights:
         sigma_g = 0.05
         delta = 0.08  # constraint violation of the second member
         base = pendulum_measurement_model(1e6)  # flat base likelihood
-        aug = augment_measurement(base, pendulum_constraint_spec(PARAMS), sigma_g)
+        aug = AugmentedMeasurementModel(base, pendulum_constraint_spec(PARAMS), sigma_g)
         on = initial_truth()
         scale = math.sqrt(1.0 + delta)  # radius inflating x^2+y^2 by delta
         off = np.array([on[0] * scale, on[1] * scale, 0.0, 0.0])
@@ -131,7 +131,7 @@ class TestComputeWeights:
         # A flat constraint likelihood leaves only the base measurement.
         rng = np.random.default_rng(23)
         base = pendulum_measurement_model(0.01)
-        aug = augment_measurement(base, pendulum_constraint_spec(PARAMS), 1e9)
+        aug = AugmentedMeasurementModel(base, pendulum_constraint_spec(PARAMS), 1e9)
         e = Ensemble(
             initial_truth() + rng.normal(0, 0.05, size=(20, 4))
         )
@@ -174,10 +174,8 @@ class TestConstraintProjection:
         target = np.array([0.5, -1.5])
         spec = ConstraintSpec(g_fn=lambda x: x, d=target)
         e = Ensemble(rng.normal(size=(10, 2)))
-        projected, artifacts = constraint_projection(e, spec)
+        projected, _ = constraint_projection(e, spec)
         np.testing.assert_allclose(projected.members, np.tile(target, (10, 1)), atol=1e-8)
-        np.testing.assert_allclose(artifacts.gain, np.eye(2), atol=1e-8)
-        np.testing.assert_allclose(artifacts.sigma_xd, artifacts.sigma_dd, atol=1e-12)
 
     def test_members_on_constraint_unchanged(self):
         # All members already satisfy g(x) = d: innovations vanish.
@@ -316,6 +314,23 @@ class TestFilterStep:
                 est = mean(state.reported)
                 bucket.append(abs(math.hypot(est[0], est[1]) - 1.0))
         assert np.mean(ma_err) < np.mean(otf_err)
+
+
+class TestCollapsedEnsemble:
+    # Identical members give a zero cost matrix, uniform weights and a zero
+    # Sigma_dd; every variant must still finish, regularizing the projection.
+    @pytest.mark.parametrize("n", [12, 100])
+    @pytest.mark.parametrize("variant", list(FilterVariant))
+    def test_every_variant_finishes(self, variant, n):
+        config = pendulum_config()
+        e = Ensemble(np.tile(initial_truth(), (n, 1)))
+        y = initial_truth()[:2] + 0.05
+        out = filter_step(FilterState(posterior=e, reported=e), y, variant, config)
+        assert out.reported.members.shape == (n, 4)
+        assert out.diagnostics.sigma_dd_regularized is variant.uses_projection
+        result = run_filter(e, np.tile(y, (3, 1)), variant, config)
+        assert np.all(np.isfinite(result.mean))
+        assert result.regularized_steps == (3 if variant.uses_projection else 0)
 
 
 class TestRunFilter:

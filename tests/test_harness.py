@@ -123,9 +123,20 @@ class TestConfig:
             {"sigma_g": math.nan},
             {"pendulum": {"L": math.nan}},
             {"pendulum": {"g": math.inf}},
+            {"N": 12.9},
+            {"runs": True},
+            {"dt": True},
+            {"dt": "0.05"},
+            {"base_seed": "3"},
+            {"pendulum": {"L": True}},
+            {"initial_spread": [0.01, 0.01, "1e-4", 1e-4]},
+            {"initial_spread": [True, 1.0, 1.0, 1.0]},
+            {"base_seed": -1},
         ],
         ids=["dt-str", "dt-list", "N-null", "N-inf", "spread-str", "dt-nan",
-             "t_final-inf", "R_diag-nan", "sigma_g-nan", "L-nan", "g-inf"],
+             "t_final-inf", "R_diag-nan", "sigma_g-nan", "L-nan", "g-inf",
+             "N-fraction", "runs-bool", "dt-bool", "dt-numeric-str", "seed-str",
+             "L-bool", "spread-numeric-str", "spread-bool", "seed-negative"],
     )
     def test_malformed_or_non_finite_values_rejected(self, raw):
         with pytest.raises(ConfigError):
@@ -210,7 +221,7 @@ class TestMonteCarlo:
         config = small_config(runs=1)
         result = monte_carlo(config)
         record = result.runs[0]
-        for entry in result.aggregate.entries:
+        for entry in result.aggregate:
             expected = rms_constraint_error(
                 record.results[entry.variant].constraint_error
             )
@@ -220,14 +231,14 @@ class TestMonteCarlo:
     def test_same_seed_identical_aggregates(self):
         a = monte_carlo(small_config())
         b = monte_carlo(small_config())
-        for ea, eb in zip(a.aggregate.entries, b.aggregate.entries):
+        for ea, eb in zip(a.aggregate, b.aggregate):
             assert ea == eb
 
     def test_worker_pool_matches_serial(self):
         config = small_config()
         serial = monte_carlo(config, workers=1)
         parallel = monte_carlo(config, workers=2)
-        for es, ep in zip(serial.aggregate.entries, parallel.aggregate.entries):
+        for es, ep in zip(serial.aggregate, parallel.aggregate):
             assert es == ep
 
     def test_common_random_numbers_across_variants(self):
@@ -302,7 +313,7 @@ class TestWriteOutputs:
         config = small_config()
         result = monte_carlo(config)
         write_outputs(result, tmp_path, "csv")
-        for entry in result.aggregate.entries:
+        for entry in result.aggregate:
             rms_values = []
             for r in range(config.runs):
                 path = tmp_path / f"run_{r:03d}_{entry.variant.value}.csv"
@@ -339,15 +350,16 @@ class TestRunSingle:
 
         real_run_filter = harness_module.run_filter
 
-        def flaky(initial, measurements, variant, filter_config, rng=None):
+        def flaky(initial, measurements, variant, filter_config):
             if FilterVariant(variant) is FilterVariant.OTF:
                 raise NonconvergenceError("synthetic failure")
-            return real_run_filter(initial, measurements, variant, filter_config, rng)
+            return real_run_filter(initial, measurements, variant, filter_config)
 
         monkeypatch.setattr(harness_module, "run_filter", flaky)
         result = monte_carlo(small_config())
-        otf = result.aggregate.by_variant(FilterVariant.OTF)
-        other = result.aggregate.by_variant(FilterVariant.OTNLEQMA)
+        entries = {entry.variant: entry for entry in result.aggregate}
+        otf = entries[FilterVariant.OTF]
+        other = entries[FilterVariant.OTNLEQMA]
         assert otf.runs_failed == 2 and otf.runs_used == 0
         assert np.isnan(otf.avg_rms_constraint_error)
         assert other.runs_failed == 0 and other.runs_used == 2

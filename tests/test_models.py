@@ -6,13 +6,12 @@ import numpy as np
 import pytest
 
 from otfilter.ensemble import Ensemble
-from otfilter.errors import DecompositionError, SingularCovarianceError
+from otfilter.errors import SingularCovarianceError
 from otfilter.models import (
     AugmentedMeasurementModel,
     ConstraintSpec,
     MeasurementModel,
     PendulumParams,
-    augment_measurement,
     gaussian_log_likelihoods,
     pendulum_constraint,
     pendulum_constraint_spec,
@@ -98,24 +97,6 @@ class TestPropagate:
         assert 10 < err[0] / err[1] < 25
         assert 10 < err[1] / err[2] < 25
 
-    def test_zero_covariance_noise_matches_noiseless(self):
-        rng = np.random.default_rng(21)
-        e = Ensemble(np.tile(initial_state(20.0), (6, 1)))
-        clean = propagate_ensemble(e, PARAMS, 0.05, 4)
-        noisy = propagate_ensemble(
-            e, PARAMS, 0.05, 4, process_noise_cov=np.zeros((4, 4)), rng=rng
-        )
-        np.testing.assert_array_equal(clean.members, noisy.members)
-
-    def test_non_psd_noise_rejected(self):
-        e = Ensemble(np.tile(EQUILIBRIUM, (3, 1)))
-        bad = np.diag([1.0, 1.0, 1.0, -1.0])
-        with pytest.raises(DecompositionError):
-            propagate_ensemble(
-                e, PARAMS, 0.05, 1, process_noise_cov=bad,
-                rng=np.random.default_rng(1),
-            )
-
     def test_constraint_preserved_over_ten_seconds(self):
         # The rod-length surface is invariant for the continuous dynamics,
         # so the residual drift is pure integrator error; 16 substeps per
@@ -195,7 +176,7 @@ class TestConstraint:
 class TestAugmentedModel:
     def test_dimensions_and_stacking(self):
         base = pendulum_measurement_model(0.01)
-        aug = augment_measurement(base, pendulum_constraint_spec(PARAMS), 1e-2)
+        aug = AugmentedMeasurementModel(base, pendulum_constraint_spec(PARAMS), 1e-2)
         assert aug.dim == 3
         y = np.array([0.86, 0.51])
         np.testing.assert_array_equal(aug.effective_observation(y), [0.86, 0.51, 1.0])
@@ -204,13 +185,13 @@ class TestAugmentedModel:
 
     def test_prediction_stacks_constraint(self):
         base = pendulum_measurement_model(0.01)
-        aug = augment_measurement(base, pendulum_constraint_spec(PARAMS))
+        aug = AugmentedMeasurementModel(base, pendulum_constraint_spec(PARAMS))
         members = np.array([[0.6, 0.8, 1.0, 2.0]])
         np.testing.assert_allclose(aug.predict_members(members), [[0.6, 0.8, 1.0]])
 
     def test_on_constraint_member_contributes_unit_factor(self):
         base = pendulum_measurement_model(0.01)
-        aug = augment_measurement(base, pendulum_constraint_spec(PARAMS), 1e-3)
+        aug = AugmentedMeasurementModel(base, pendulum_constraint_spec(PARAMS), 1e-3)
         member = initial_state(30.0)[None, :]
         y = member[0, :2]
         pred = aug.predict_members(member)
@@ -221,4 +202,4 @@ class TestAugmentedModel:
     def test_nonpositive_sigma_rejected(self):
         base = pendulum_measurement_model(0.01)
         with pytest.raises(ValueError):
-            augment_measurement(base, pendulum_constraint_spec(PARAMS), 0.0)
+            AugmentedMeasurementModel(base, pendulum_constraint_spec(PARAMS), 0.0)
