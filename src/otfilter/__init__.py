@@ -22,13 +22,11 @@ from .errors import (
     SingularCovarianceError,
 )
 from .filters import (
-    FilterConfig,
     FilterRunResult,
     FilterState,
     FilterVariant,
     ProjectionArtifacts,
     ProjectionInnovation,
-    StepDiagnostics,
     compute_weights,
     constraint_projection,
     filter_step,

@@ -121,20 +121,17 @@ def _cmd_sample(args: argparse.Namespace) -> int:
         )
         coverage = annulus_coverage(samples, r_in, r_out)
         diag_path = out_dir / "annulus_diagnostics.json"
-        diag_path.write_text(
-            json.dumps(
-                {
-                    "annulus_coverage": coverage,
-                    "n": args.n,
-                    "r_in": r_in,
-                    "r_out": r_out,
-                    "seed": args.seed,
-                },
-                indent=1,
-                sort_keys=True,
-            )
-            + "\n"
-        )
+        diagnostics = {
+            "annulus_coverage": coverage,
+            "n": args.n,
+            "r_in": r_in,
+            "r_out": r_out,
+            "seed": args.seed,
+        }
+        try:
+            diag_path.write_text(json.dumps(diagnostics, indent=1, sort_keys=True) + "\n")
+        except OSError as exc:
+            raise OTFilterError(f"cannot write {diag_path}: {exc}") from exc
         print(f"wrote {args.n} annulus samples to {path}")
         print(f"annulus coverage: {coverage:.4f} (diagnostics in {diag_path})")
     return EXIT_OK

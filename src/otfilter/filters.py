@@ -21,19 +21,18 @@ their own mean constraint value, which preserves the ensemble mean.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .ensemble import Ensemble, covariance, cross_covariance, mean
 from .errors import InsufficientSamplesError, InvalidEnsembleError, InvalidMeasurementError
 from .models import (
-    DEFAULT_CONSTRAINT_SIGMA,
     AugmentedMeasurementModel,
     ConstraintSpec,
     MeasurementModel,
-    PendulumParams,
     gaussian_log_likelihoods,
     propagate_ensemble,
 )
@@ -44,6 +43,9 @@ from .transport import (
     build_cost_matrix,
     solve_transport,
 )
+
+if TYPE_CHECKING:
+    from .harness import ExperimentConfig
 
 # Raw likelihoods below this floor on every member trigger the uniform fallback.
 UNDERFLOW_FLOOR = 1e-300
@@ -90,40 +92,17 @@ class ProjectionInnovation(str, Enum):
 
 
 @dataclass(frozen=True)
-class FilterConfig:
-    """Everything a filter step needs besides the evolving ensemble."""
-
-    measurement: MeasurementModel
-    constraint: ConstraintSpec
-    pendulum: PendulumParams = field(default_factory=PendulumParams)
-    dt: float = 0.05
-    substeps: int = 16
-    sigma_g: float = DEFAULT_CONSTRAINT_SIGMA
-    metric: CostMetric = CostMetric.EUCLIDEAN
-    projection_innovation: ProjectionInnovation = ProjectionInnovation.STANDARD
-
-    def augmented(self) -> AugmentedMeasurementModel:
-        return AugmentedMeasurementModel(self.measurement, self.constraint, self.sigma_g)
-
-
-@dataclass(frozen=True)
-class StepDiagnostics:
-    """Numerical fallbacks a step took."""
-
-    degenerate_weights: bool = False
-    sigma_dd_regularized: bool = False
-
-
-@dataclass(frozen=True)
 class FilterState:
     """Posterior fed to the next propagation plus the ensemble used for
-    estimates; they differ only for the projected (non-feedback) variant."""
+    estimates; they differ only for the projected (non-feedback) variant.
+    The flags name the numerical fallbacks the last step took."""
 
     posterior: Ensemble
     reported: Ensemble
     k: int = 0
     t: float = 0.0
-    diagnostics: StepDiagnostics = field(default_factory=StepDiagnostics)
+    degenerate_weights: bool = False
+    sigma_dd_regularized: bool = False
 
 
 @dataclass(frozen=True)
@@ -232,7 +211,7 @@ def filter_step(
     state: FilterState,
     y: np.ndarray,
     variant: FilterVariant,
-    config: FilterConfig,
+    config: ExperimentConfig,
 ) -> FilterState:
     """Advance one measurement interval: propagate, weight, resample, and
     apply the variant's projection/feedback policy.
@@ -241,7 +220,9 @@ def filter_step(
     constraint target [y; d] themselves.
     """
     variant = FilterVariant(variant)
-    model = config.augmented() if variant.uses_augmentation else config.measurement
+    model = (
+        config.augmented_measurement if variant.uses_augmentation else config.measurement
+    )
 
     try:
         prior = propagate_ensemble(
@@ -270,10 +251,8 @@ def filter_step(
         reported=reported,
         k=state.k + 1,
         t=state.t + config.dt,
-        diagnostics=StepDiagnostics(
-            degenerate_weights=degenerate,
-            sigma_dd_regularized=regularized_flag,
-        ),
+        degenerate_weights=degenerate,
+        sigma_dd_regularized=regularized_flag,
     )
 
 
@@ -281,7 +260,7 @@ def run_filter(
     initial: Ensemble,
     measurements: np.ndarray,
     variant: FilterVariant,
-    config: FilterConfig,
+    config: ExperimentConfig,
 ) -> FilterRunResult:
     """Run one filter over a measurement series.
 
@@ -316,8 +295,8 @@ def run_filter(
         means.append(est)
         stds.append(np.sqrt(np.diag(covariance(state.reported))))
         errors.append(_length_error(est, config.pendulum.L))
-        degenerate_steps += state.diagnostics.degenerate_weights
-        regularized_steps += state.diagnostics.sigma_dd_regularized
+        degenerate_steps += state.degenerate_weights
+        regularized_steps += state.sigma_dd_regularized
 
     initial_mean = mean(initial)
     initial_std = (

@@ -16,6 +16,7 @@ import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +24,6 @@ import numpy as np
 from .ensemble import from_gaussian
 from .errors import ConfigError, OTFilterError
 from .filters import (
-    FilterConfig,
     FilterRunResult,
     FilterVariant,
     ProjectionInnovation,
@@ -31,6 +31,9 @@ from .filters import (
 )
 from .models import (
     DEFAULT_CONSTRAINT_SIGMA,
+    AugmentedMeasurementModel,
+    ConstraintSpec,
+    MeasurementModel,
     PendulumParams,
     pendulum_constraint_spec,
     pendulum_measurement_model,
@@ -45,7 +48,9 @@ _DEFAULT_SPREAD_DIAG = (0.05**2, 0.05**2, 0.01**2, 0.01**2)
 
 @dataclass(frozen=True, eq=False)
 class ExperimentConfig:
-    """Study parameters; defaults reproduce the pendulum experiment."""
+    """Study parameters, also read by ``filter_step`` and ``run_filter``;
+    defaults reproduce the pendulum experiment.  The models below are built
+    once per object and are not fields, so the JSON schema omits them."""
 
     dt: float = 0.05
     t_final: float = 10.0
@@ -93,17 +98,17 @@ class ExperimentConfig:
         L = self.pendulum.L
         return np.array([L * math.cos(angle), L * math.sin(angle), 0.0, 0.0])
 
-    def filter_config(self) -> FilterConfig:
-        return FilterConfig(
-            measurement=pendulum_measurement_model(self.R_diag),
-            constraint=pendulum_constraint_spec(self.pendulum),
-            pendulum=self.pendulum,
-            dt=self.dt,
-            substeps=self.substeps,
-            sigma_g=self.sigma_g,
-            metric=self.metric,
-            projection_innovation=self.projection_innovation,
-        )
+    @cached_property
+    def measurement(self) -> MeasurementModel:
+        return pendulum_measurement_model(self.R_diag)
+
+    @cached_property
+    def constraint(self) -> ConstraintSpec:
+        return pendulum_constraint_spec(self.pendulum)
+
+    @cached_property
+    def augmented_measurement(self) -> AugmentedMeasurementModel:
+        return AugmentedMeasurementModel(self.measurement, self.constraint, self.sigma_g)
 
 
 def validate_config(config: ExperimentConfig) -> None:
@@ -132,6 +137,8 @@ def validate_config(config: ExperimentConfig) -> None:
     spread = config.initial_spread
     if spread.shape != (4, 4):
         raise ConfigError(f"initial_spread must be 4x4, got shape {spread.shape}")
+    if not np.isfinite(spread).all():
+        raise ConfigError("initial_spread entries must be finite")
     if not np.allclose(spread, spread.T, atol=1e-12):
         raise ConfigError("initial_spread must be symmetric")
     if np.linalg.eigvalsh(spread).min() <= 0:
@@ -273,8 +280,7 @@ class MonteCarloResult:
 def simulate_truth(config: ExperimentConfig, rng: np.random.Generator) -> TruthData:
     """RK4 truth from the configured release angle, one noisy position
     measurement per dt."""
-    filter_config = config.filter_config()
-    model = filter_config.measurement
+    model = config.measurement
     chol = np.linalg.cholesky(model.R)
     state = config.initial_truth_state()
     initial = state.copy()
@@ -311,12 +317,11 @@ def run_single(config: ExperimentConfig, run_index: int) -> RunRecord:
     center = truth.initial_state + spread_chol @ rng.standard_normal(4)
     initial = from_gaussian(center, config.initial_spread, config.N, rng)
 
-    filter_config = config.filter_config()
     results: dict[FilterVariant, FilterRunResult] = {}
     failures: dict[FilterVariant, str] = {}
     for variant in config.variants:
         try:
-            result = run_filter(initial, truth.measurements, variant, filter_config)
+            result = run_filter(initial, truth.measurements, variant, config)
         except (OTFilterError, np.linalg.LinAlgError) as exc:
             failures[variant] = f"{type(exc).__name__}: {exc}"
             continue
@@ -461,10 +466,10 @@ def write_samples(
             f"{len(columns)} columns declared for {members.shape[1]}-dim samples"
         )
     out_path = Path(out_path)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
     lines = [",".join(columns)]
     lines += [",".join(repr(float(v)) for v in row) for row in members]
     try:
+        out_path.parent.mkdir(parents=True, exist_ok=True)
         out_path.write_text("\n".join(lines) + "\n")
     except OSError as exc:
         raise OTFilterError(f"cannot write {out_path}: {exc}") from exc

@@ -32,6 +32,9 @@ class PendulumParams:
             raise ValueError(
                 f"L and g must be positive and finite, got L={self.L}, g={self.g}"
             )
+        # The dynamics divide by L^2, so it must neither overflow nor vanish.
+        if not 0 < self.L * self.L < np.inf:
+            raise ValueError(f"L squared must be positive and finite, got L={self.L}")
 
 
 @dataclass(frozen=True)

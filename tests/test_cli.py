@@ -158,6 +158,24 @@ class TestSample:
             )
         assert digests[0] == digests[1]
 
+    def test_output_below_a_file_is_runtime_error(self, tmp_path, capsys):
+        blocker = tmp_path / "afile"
+        blocker.write_text("")
+        code = main(
+            ["sample", "--target", "bimodal", "--n", "5",
+             "--out", str(blocker / "sub")]
+        )
+        assert code == EXIT_RUNTIME
+        assert "runtime error" in capsys.readouterr().err
+
+    def test_unwritable_annulus_diagnostics_is_runtime_error(self, tmp_path, capsys):
+        (tmp_path / "annulus_diagnostics.json").mkdir()
+        code = main(
+            ["sample", "--target", "annulus", "--n", "20", "--out", str(tmp_path)]
+        )
+        assert code == EXIT_RUNTIME
+        assert "annulus_diagnostics.json" in capsys.readouterr().err
+
     def test_too_few_samples_is_config_error(self, tmp_path):
         code = main(
             ["sample", "--target", "bimodal", "--n", "1", "--out", str(tmp_path)]

@@ -8,7 +8,6 @@ import pytest
 from otfilter.ensemble import Ensemble, from_gaussian, mean
 from otfilter.errors import InsufficientSamplesError
 from otfilter.filters import (
-    FilterConfig,
     FilterState,
     FilterVariant,
     ProjectionInnovation,
@@ -18,6 +17,7 @@ from otfilter.filters import (
     ot_update,
     run_filter,
 )
+from otfilter.harness import ExperimentConfig, simulate_truth
 from otfilter.models import (
     AugmentedMeasurementModel,
     ConstraintSpec,
@@ -32,16 +32,8 @@ from otfilter.transport import WeightVector
 PARAMS = PendulumParams()
 
 
-def pendulum_config(**overrides) -> FilterConfig:
-    defaults = dict(
-        measurement=pendulum_measurement_model(0.01),
-        constraint=pendulum_constraint_spec(PARAMS),
-        pendulum=PARAMS,
-        dt=0.05,
-        substeps=16,
-    )
-    defaults.update(overrides)
-    return FilterConfig(**defaults)
+def pendulum_config(**overrides) -> ExperimentConfig:
+    return ExperimentConfig(projection_innovation="standard", **overrides)
 
 
 def initial_truth(angle_deg=30.0):
@@ -74,7 +66,7 @@ class TestVariantDispatch:
             state = FilterState(posterior=ensemble, reported=ensemble)
             out = filter_step(state, y, variant, config)
             if not variant.uses_projection:
-                assert not out.diagnostics.sigma_dd_regularized
+                assert not out.sigma_dd_regularized
             if variant is FilterVariant.OTPROJ:
                 # Reported is projected, fed-forward posterior is not.
                 assert out.reported is not out.posterior
@@ -265,7 +257,7 @@ class TestConstraintProjection:
 class TestFilterStep:
     def test_uninformative_measurement_keeps_prior(self):
         rng = np.random.default_rng(7)
-        config = pendulum_config(measurement=pendulum_measurement_model(1e12))
+        config = pendulum_config(R_diag=1e12)
         e = from_gaussian(initial_truth(), 0.01 * np.eye(4), 25, rng)
         state = FilterState(posterior=e, reported=e)
         out = filter_step(state, np.array([0.9, 0.4]), FilterVariant.OTF, config)
@@ -327,7 +319,7 @@ class TestCollapsedEnsemble:
         y = initial_truth()[:2] + 0.05
         out = filter_step(FilterState(posterior=e, reported=e), y, variant, config)
         assert out.reported.members.shape == (n, 4)
-        assert out.diagnostics.sigma_dd_regularized is variant.uses_projection
+        assert out.sigma_dd_regularized is variant.uses_projection
         result = run_filter(e, np.tile(y, (3, 1)), variant, config)
         assert np.all(np.isfinite(result.mean))
         assert result.regularized_steps == (3 if variant.uses_projection else 0)
@@ -342,6 +334,24 @@ class TestRunFilter:
         assert result.t.size == 0
         np.testing.assert_allclose(result.initial_mean, mean(e))
         assert result.initial_constraint_error >= 0
+
+    def test_augmented_model_built_once_per_config(self, monkeypatch):
+        built = []
+        real_post_init = AugmentedMeasurementModel.__post_init__
+
+        def counting_post_init(model):
+            built.append(model)
+            real_post_init(model)
+
+        monkeypatch.setattr(AugmentedMeasurementModel, "__post_init__", counting_post_init)
+        e = from_gaussian(
+            initial_truth(), np.diag([0.05**2] * 2 + [0.01**2] * 2),
+            12, np.random.default_rng(3),
+        )
+        ys = np.tile(initial_truth()[:2], (5, 1))
+        result = run_filter(e, ys, FilterVariant.OTMA, pendulum_config())
+        assert result.t.size == 5
+        assert len(built) <= 1
 
     def test_determinism(self):
         config = pendulum_config()
@@ -370,18 +380,15 @@ class TestRunFilter:
         # Over a 10 s horizon the unconstrained filter's constraint error
         # grows from its early value while projection feedback keeps the
         # error bounded.
-        from otfilter.harness import ExperimentConfig, simulate_truth
-
         config = ExperimentConfig(N=40, runs=1)
-        fc = config.filter_config()
         for seed in (5, 6):
             rng = np.random.default_rng(seed)
             truth = simulate_truth(config, rng)
             chol = np.linalg.cholesky(config.initial_spread)
             center = truth.initial_state + chol @ rng.standard_normal(4)
             e = from_gaussian(center, config.initial_spread, config.N, rng)
-            otf = run_filter(e, truth.measurements, FilterVariant.OTF, fc)
-            nleq = run_filter(e, truth.measurements, FilterVariant.OTNLEQ, fc)
+            otf = run_filter(e, truth.measurements, FilterVariant.OTF, config)
+            nleq = run_filter(e, truth.measurements, FilterVariant.OTNLEQ, config)
             otf_first = otf.constraint_error[otf.t <= 2.0].mean()
             otf_final = otf.constraint_error[otf.t > 8.0].mean()
             assert otf_final > 2.0 * otf_first
@@ -392,9 +399,7 @@ class TestRunFilter:
         # Near-perfect measurements of the true trajectory: estimates stay
         # within three noise floors of the truth positions.
         noise_floor = 1e-2
-        config = pendulum_config(
-            measurement=pendulum_measurement_model(noise_floor**2)
-        )
+        config = pendulum_config(R_diag=noise_floor**2)
         truth = initial_truth()
         states, ys = [], []
         for _ in range(40):

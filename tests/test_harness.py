@@ -132,15 +132,27 @@ class TestConfig:
             {"initial_spread": [0.01, 0.01, "1e-4", 1e-4]},
             {"initial_spread": [True, 1.0, 1.0, 1.0]},
             {"base_seed": -1},
+            {"initial_spread": [math.inf, 0.0025, 1e-4, 1e-4]},
+            {"initial_spread": [math.nan, 0.0025, 1e-4, 1e-4]},
+            {"pendulum": {"L": 1e300}},
+            {"pendulum": {"L": 1e-200}},
         ],
         ids=["dt-str", "dt-list", "N-null", "N-inf", "spread-str", "dt-nan",
              "t_final-inf", "R_diag-nan", "sigma_g-nan", "L-nan", "g-inf",
              "N-fraction", "runs-bool", "dt-bool", "dt-numeric-str", "seed-str",
-             "L-bool", "spread-numeric-str", "spread-bool", "seed-negative"],
+             "L-bool", "spread-numeric-str", "spread-bool", "seed-negative",
+             "spread-inf", "spread-nan", "L-square-overflow", "L-square-underflow"],
     )
     def test_malformed_or_non_finite_values_rejected(self, raw):
         with pytest.raises(ConfigError):
             config_from_dict(raw)
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_spread_is_named_before_symmetry(self, bad):
+        spread = np.diag([0.0025, 0.0025, 1e-4, 1e-4]).tolist()
+        spread[0][1] = bad
+        with pytest.raises(ConfigError, match="initial_spread entries must be finite"):
+            config_from_dict({"initial_spread": spread})
 
     def test_scalars_take_their_field_type(self):
         echo = config_to_dict(config_from_dict({"dt": 1, "N": 12.0}))
@@ -350,10 +362,10 @@ class TestRunSingle:
 
         real_run_filter = harness_module.run_filter
 
-        def flaky(initial, measurements, variant, filter_config):
+        def flaky(initial, measurements, variant, config):
             if FilterVariant(variant) is FilterVariant.OTF:
                 raise NonconvergenceError("synthetic failure")
-            return real_run_filter(initial, measurements, variant, filter_config)
+            return real_run_filter(initial, measurements, variant, config)
 
         monkeypatch.setattr(harness_module, "run_filter", flaky)
         result = monte_carlo(small_config())
