@@ -10,6 +10,12 @@
  * basis tree.  Build with -ffp-contract=off and never -ffast-math: a fused
  * multiply-add or a reassociated sum would change the pivots.
  *
+ * The least-cost start keeps a heap of row heads, each row's cheapest cell
+ * with both lines open.  A row's first head comes from one scan of the
+ * row; a row gets a heap of its own columns only when it stays open past
+ * that head, built then from the columns still open, so no n*m heap is
+ * built up front.
+ *
  * Nodes 0..n-1 are rows and n..n+m-1 columns.  The basis tree is rooted at
  * row 0; its n+m-1 edges are slots e holding one basic cell and its
  * allocation, and each slot has two half-edges (2e at the row end, 2e+1 at
@@ -40,67 +46,77 @@ int otf_has_avx2(void)
 
 /* ---- least-cost start ------------------------------------------------- */
 
-/* Cells in (cost, flat index) order, the order of a stable argsort of the
- * flattened costs; -0.0 compares equal to 0.0 there and here. */
-static int cell_before(const double *cost, int64_t a, int64_t b)
+/* Min-heaps of int32 indices in (key[index], index) order.  Within a row,
+ * keyed by the row's costs, that is the order of a stable argsort of the
+ * flattened costs; so it is across rows, keyed by each row's head cost,
+ * since a smaller row index means a smaller flat index.  -0.0 compares
+ * equal to 0.0 there and here. */
+static int before(const double *key, int32_t a, int32_t b)
 {
-    return cost[a] < cost[b] || (cost[a] == cost[b] && a < b);
+    return key[a] < key[b] || (key[a] == key[b] && a < b);
 }
 
-/* Min-heap of flat cell indices in that order. */
-static void sift_down(int64_t *heap, int size, int pos, const double *cost)
+static void sift_down(int32_t *heap, int size, int pos, const double *key)
 {
-    int64_t cell = heap[pos];
+    int32_t top = heap[pos];
     for (;;) {
         int child = 2 * pos + 1;
         if (child >= size)
             break;
-        if (child + 1 < size && cell_before(cost, heap[child + 1], heap[child]))
+        if (child + 1 < size && before(key, heap[child + 1], heap[child]))
             child++;
-        if (!cell_before(cost, heap[child], cell))
+        if (!before(key, heap[child], top))
             break;
         heap[pos] = heap[child];
         pos = child;
     }
-    heap[pos] = cell;
+    heap[pos] = top;
 }
 
-static void heap_pop(int64_t *heap, int *size, const double *cost)
+static void heapify(int32_t *heap, int size, const double *key)
+{
+    for (int pos = size / 2 - 1; pos >= 0; pos--)
+        sift_down(heap, size, pos, key);
+}
+
+static void heap_pop(int32_t *heap, int *size, const double *key)
 {
     heap[0] = heap[--*size];
-    sift_down(heap, *size, 0, cost);
+    sift_down(heap, *size, 0, key);
 }
 
 /* The least-cost starting basis of _initial_basic_solution: the same n+m-1
  * cells in the same order, with the same allocations.  Each step takes the
  * smallest (cost, flat index) among cells whose row and column are open:
- * the top of a heap of row heads, each the top of its row's own heap once
- * cells in closed columns are popped.  Most rows close at their first cell,
- * so no row is sorted in full.  Returns the number of cells, or -1 if
- * memory runs out. */
+ * the top of a heap of row heads.  A row's first head is its cheapest cell,
+ * found by one scan; a head whose column has closed is replaced when it
+ * reaches the top.  Only a row that stays open past its first head gets a
+ * heap of its own, built then from the columns still open.  Most rows
+ * close at their first cell, so most rows never get one.  Returns the
+ * number of cells, or -1 if memory runs out. */
 int otf_least_cost_start(const double *cost, const double *supply, const double *demand,
                          int n, int m, int32_t *rows, int32_t *cols, double *alloc)
 {
-    /* Row heaps, then the heap of row heads; supplies, then demands; row
-     * heap sizes, then open-column flags. */
-    int64_t *cells = malloc(sizeof(int64_t) * ((size_t)n * m + n));
-    double *s = malloc(sizeof(double) * (n + m));
-    int *row_size = malloc(sizeof(int) * (n + m));
+    /* Supplies, head costs, demands; the heap of row heads, head columns,
+     * row heap sizes, open-column flags; each row's heap, or NULL. */
+    double *s = malloc(sizeof(double) * (2 * (size_t)n + m));
+    int32_t *heads = malloc(sizeof(int32_t) * (3 * (size_t)n + m));
+    int32_t **row_heap = calloc(n, sizeof(int32_t *));
     int count = -1;
-    if (!cells || !s || !row_size)
+    if (!s || !heads || !row_heap)
         goto out;
-    int64_t *heads = cells + (size_t)n * m;
-    double *d = s + n;
-    int *col_open = row_size + n;
+    double *head_cost = s + n, *d = head_cost + n;
+    int32_t *head_col = heads + n, *row_size = head_col + n, *col_open = row_size + n;
 
     for (int i = 0; i < n; i++) {
-        int64_t *row = cells + (int64_t)i * m;
-        for (int j = 0; j < m; j++)
-            row[j] = (int64_t)i * m + j;
-        for (int pos = m / 2 - 1; pos >= 0; pos--)
-            sift_down(row, m, pos, cost);
-        row_size[i] = m;
-        heads[i] = row[0];
+        const double *c = cost + (int64_t)i * m;
+        int32_t best = 0;
+        for (int32_t j = 1; j < m; j++)
+            if (c[j] < c[best])
+                best = j;
+        heads[i] = i;
+        head_col[i] = best;
+        head_cost[i] = c[best];
         s[i] = supply[i];
     }
     for (int j = 0; j < m; j++) {
@@ -108,15 +124,12 @@ int otf_least_cost_start(const double *cost, const double *supply, const double 
         col_open[j] = 1;
     }
     int size = n;
-    for (int pos = size / 2 - 1; pos >= 0; pos--)
-        sift_down(heads, size, pos, cost);
+    heapify(heads, size, head_cost);
 
     int open_rows = n, open_cols = m;
     count = 0;
     while (open_rows + open_cols > 1 && size > 0) {
-        int i = (int)(heads[0] / m);
-        int64_t base = (int64_t)i * m;
-        int j = (int)(heads[0] - base);
+        int32_t i = heads[0], j = head_col[i];
         if (col_open[j]) {
             double si = s[i], dj = d[j];
             double q = si <= dj ? si : dj;
@@ -133,29 +146,50 @@ int otf_least_cost_start(const double *cost, const double *supply, const double 
                 s[i] = 0.0;
                 d[j] = dj - q;
                 open_rows--;
-                heap_pop(heads, &size, cost);
-                continue;
+                heap_pop(heads, &size, head_cost);
+            } else {
+                d[j] = 0.0;
+                s[i] = si - q;
+                col_open[j] = 0;
+                open_cols--;
             }
-            d[j] = 0.0;
-            s[i] = si - q;
-            col_open[j] = 0;
-            open_cols--;
+            continue;
         }
-        /* The head's column is closed: move to the row's next open column. */
-        int64_t *row = cells + base;
-        while (row_size[i] > 0 && !col_open[row[0] - base])
-            heap_pop(row, &row_size[i], cost);
+        /* The head's column is closed: move to the row's next open column.
+         * Some column is open, so open_cols > 0 below: the loop runs while
+         * more than one line is open, and the last column never closes
+         * while two rows are open. */
+        const double *c = cost + (int64_t)i * m;
+        int32_t *row = row_heap[i];
+        if (!row) {
+            row = row_heap[i] = malloc(sizeof(int32_t) * open_cols);
+            if (!row) {
+                count = -1;
+                goto out;
+            }
+            row_size[i] = 0;
+            for (int32_t k = 0; k < m; k++)
+                if (col_open[k])
+                    row[row_size[i]++] = k;
+            heapify(row, row_size[i], c);
+        }
+        while (row_size[i] > 0 && !col_open[row[0]])
+            heap_pop(row, &row_size[i], c);
         if (row_size[i] == 0) {
-            heap_pop(heads, &size, cost);
+            heap_pop(heads, &size, head_cost);
         } else {
-            heads[0] = row[0];
-            sift_down(heads, size, 0, cost);
+            head_col[i] = row[0];
+            head_cost[i] = c[row[0]];
+            sift_down(heads, size, 0, head_cost);
         }
     }
 out:
-    free(cells);
+    if (row_heap)
+        for (int i = 0; i < n; i++)
+            free(row_heap[i]);
+    free(row_heap);
+    free(heads);
     free(s);
-    free(row_size);
     return count;
 }
 

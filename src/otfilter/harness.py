@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from functools import cached_property
@@ -346,6 +345,10 @@ def monte_carlo(config: ExperimentConfig, workers: int = 1) -> MonteCarloResult:
     """
     indices = range(config.runs)
     if workers > 1 and config.runs > 1:
+        # Imported here: the pool machinery adds about a megabyte of
+        # resident memory to every process, and most runs use one worker.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(run_single, [config] * config.runs, indices))
     else:

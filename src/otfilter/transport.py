@@ -34,7 +34,13 @@ The simplex and its least-cost start run in C (``_simplex.c``, built at the
 first solve by ``_native``) wherever a C compiler works.  The kernel makes
 the same pivots with the same floating-point operations;
 ``_transportation_simplex`` below is the readable specification and the
-fallback without a compiler, and returns the same plans.
+fallback without a compiler, and returns the same plans.  The C start
+picks the cells of ``_initial_basic_solution``'s sorted scan from a heap of
+row heads, and sorts a row's columns only for a row that stays open past
+its cheapest cell.
+
+Costs are summed in a fixed order (``build_cost_matrix``), so their bytes
+are a property of this module and not of how numpy sums.
 """
 
 from __future__ import annotations
@@ -155,12 +161,32 @@ class TransportPlan:
 def build_cost_matrix(
     ensemble: Ensemble, metric: CostMetric = CostMetric.EUCLIDEAN
 ) -> CostMatrix:
-    """Pairwise distances between all members under the chosen metric."""
+    """Pairwise distances between all members under the chosen metric.
+
+    The squared distance sums the coordinates' squared differences t_k in
+    two lanes, ``(t0 + t2 + ...) + (t1 + t3 + ...)``, the order of numpy's
+    ``einsum("ijk,ijk->ij")`` for up to 7 coordinates, written out so that
+    cost bytes do not depend on how numpy sums.  The sums and the square
+    root are taken in place in the returned array.
+    """
     metric = CostMetric(metric)
-    m = ensemble.members
-    diff = m[:, None, :] - m[None, :, :]
-    sq = np.einsum("ijk,ijk->ij", diff, diff)
-    D = sq if metric is CostMetric.SQUARED_EUCLIDEAN else np.sqrt(sq)
+    # Lane k % 2 adds up t_k; t0 and t1 start the lanes, and every later
+    # t_k is computed in one scratch array.
+    lanes: list[np.ndarray] = []
+    scratch = None
+    for k, column in enumerate(ensemble.members.T):
+        t = np.subtract.outer(column, column, out=scratch if k >= 2 else None)
+        t *= t
+        if k < 2:
+            lanes.append(t)
+        else:
+            lanes[k % 2] += t
+            scratch = t
+    D = lanes[0]
+    if len(lanes) > 1:
+        D += lanes[1]
+    if metric is CostMetric.EUCLIDEAN:
+        np.sqrt(D, out=D)
     np.fill_diagonal(D, 0.0)
     return CostMatrix(D=D)
 

@@ -2,6 +2,10 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +13,17 @@ import otfilter.cli
 from otfilter.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
 from otfilter.errors import NonconvergenceError
 from otfilter.harness import CSV_HEADER
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# One run in a fresh interpreter; its last line is the exit code and the process
+# pool modules imported on the way.
+RUN_ONCE = """
+import sys
+from otfilter.cli import main
+code = main(["run", "--config", sys.argv[1], "--out", sys.argv[2]])
+print(code, *(m for m in ("concurrent.futures", "multiprocessing") if m in sys.modules))
+"""
 
 TINY_CONFIG = {
     "dt": 0.05,
@@ -104,6 +119,17 @@ class TestRun:
             ["run", "--config", str(config_path), "--out", str(tmp_path / "x")]
         )
         assert code == EXIT_RUNTIME
+
+    def test_one_worker_run_does_not_import_process_pool(self, config_path, tmp_path):
+        # The pool machinery adds about a megabyte of resident memory.
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", RUN_ONCE, str(config_path), str(tmp_path / "out")],
+            env=env, capture_output=True, text=True, timeout=300, check=False,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1].split() == [str(EXIT_OK)]
 
     def test_byte_identical_across_executions(self, config_path, tmp_path):
         digests = []

@@ -153,3 +153,39 @@ def test_least_cost_start_matches_python():
         demand = np.full(cost.shape[1], 1.0 / cost.shape[1])
         expected = transport._initial_basic_solution(cost, supply, demand)
         assert kernel.initial_basic_solution(cost, supply, demand) == expected
+
+
+def _tie_heavy(rng, n, shape):
+    """A cost matrix and live supply on which many rows' cheapest open
+    cells go stale again and again: equal costs, or rows that all want the
+    same columns."""
+    supply = _weights(rng, n, "counts" if shape == "counts" else "skewed")
+    if shape == "lattice":
+        cost = _cost(rng.integers(0, 4, size=(n, 2)).astype(float), "euclidean")
+    elif shape == "duplicated":
+        distinct = rng.normal(size=(max(2, n // 10), 2))
+        cost = _cost(distinct[rng.integers(0, len(distinct), size=n)], "sqeuclidean")
+    elif shape == "cheap-column":
+        cost = _cost(rng.normal(size=(n, 2)), "euclidean")
+        cost[:, rng.integers(0, n)] = 0.0
+    elif shape == "same-preference":
+        cost = np.add.outer(rng.normal(size=n), rng.integers(0, 8, size=n).astype(float))
+    else:  # k/N counts on 1-D points
+        cost = _cost(rng.normal(size=(n, 1)), "euclidean")
+    # Zero rows are removed, as solve_transport does.
+    live = supply > 0.0
+    return cost[live], supply[live]
+
+
+TIE_HEAVY_SHAPES = ("lattice", "duplicated", "cheap-column", "same-preference", "counts")
+
+
+@pytest.mark.parametrize("shape", TIE_HEAVY_SHAPES)
+def test_least_cost_start_matches_python_on_tie_heavy_shapes(shape):
+    kernel = kernel_for("c-scalar")
+    rng = np.random.default_rng(20264)
+    for n in (2, 7, 40, 120, 300):
+        cost, supply = _tie_heavy(rng, n, shape)
+        demand = np.full(cost.shape[1], 1.0 / cost.shape[1])
+        expected = transport._initial_basic_solution(cost, supply, demand)
+        assert kernel.initial_basic_solution(cost, supply, demand) == expected, n

@@ -1,5 +1,7 @@
 """Tests for the transportation LP and resampling map."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -63,6 +65,25 @@ class TestBuildCostMatrix:
     def test_single_member(self):
         cost = build_cost_matrix(Ensemble(np.array([[7.0]])))
         np.testing.assert_array_equal(cost.D, [[0.0]])
+
+    @pytest.mark.parametrize("metric", list(CostMetric))
+    @pytest.mark.parametrize("dim", range(1, 10))
+    def test_two_lane_summation_order(self, dim, metric):
+        # Every cost byte: (t0 + t2 + ...) + (t1 + t3 + ...), t_k being the
+        # squared k-th coordinate difference, then the square root.
+        rng = np.random.default_rng(dim)
+        x = rng.normal(size=(12, dim)) * rng.exponential(size=dim)
+        expected = np.zeros((12, 12))
+        for i in range(12):
+            for j in range(12):
+                if i != j:
+                    lanes = [0.0, 0.0]
+                    for k in range(dim):
+                        t = x[i, k] - x[j, k]
+                        lanes[k % 2] += t * t
+                    sq = lanes[0] + lanes[1]
+                    expected[i, j] = math.sqrt(sq) if metric is CostMetric.EUCLIDEAN else sq
+        assert build_cost_matrix(Ensemble(x), metric).D.tobytes() == expected.tobytes()
 
     def test_ragged_members_rejected(self):
         with pytest.raises(InvalidEnsembleError):
