@@ -5,8 +5,7 @@ weights, resamples through the transport LP, and then applies the selected
 constraint-handling policy:
 
 * ``OTF``      plain transport update, constraints ignored;
-* ``OTPROJ``   project the posterior for reporting, feed the unprojected
-  ensemble forward;
+* ``OTPROJ``   ``OTF``'s chain, reporting the projection of each posterior;
 * ``OTNLEQ``   project and feed the projected ensemble forward;
 * ``OTMA``     score weights against the constraint-augmented measurement;
 * ``OTNLEQMA`` augmented weights plus projection with feedback.
@@ -28,7 +27,12 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .ensemble import Ensemble, covariance, cross_covariance, mean
-from .errors import InsufficientSamplesError, InvalidEnsembleError, InvalidMeasurementError
+from .errors import (
+    InsufficientSamplesError,
+    InvalidEnsembleError,
+    InvalidMeasurementError,
+    OTFilterError,
+)
 from .models import (
     AugmentedMeasurementModel,
     ConstraintSpec,
@@ -53,6 +57,9 @@ _LOG_UNDERFLOW = math.log(UNDERFLOW_FLOOR)
 
 _CONDITION_LIMIT = 1e12
 
+# Errors that fail a variant's run instead of the whole study.
+_FAILURES = (OTFilterError, np.linalg.LinAlgError)
+
 
 class FilterVariant(str, Enum):
     OTF = "otf"
@@ -64,14 +71,6 @@ class FilterVariant(str, Enum):
     @property
     def uses_augmentation(self) -> bool:
         return self in (FilterVariant.OTMA, FilterVariant.OTNLEQMA)
-
-    @property
-    def uses_projection(self) -> bool:
-        return self in (
-            FilterVariant.OTPROJ,
-            FilterVariant.OTNLEQ,
-            FilterVariant.OTNLEQMA,
-        )
 
     @property
     def uses_feedback(self) -> bool:
@@ -93,12 +92,10 @@ class ProjectionInnovation(str, Enum):
 
 @dataclass(frozen=True)
 class FilterState:
-    """Posterior fed to the next propagation plus the ensemble used for
-    estimates; they differ only for the projected (non-feedback) variant.
-    The flags name the numerical fallbacks the last step took."""
+    """Posterior fed to the next propagation.  The flags name the numerical
+    fallbacks the last step took."""
 
     posterior: Ensemble
-    reported: Ensemble
     k: int = 0
     t: float = 0.0
     degenerate_weights: bool = False
@@ -214,10 +211,10 @@ def filter_step(
     config: ExperimentConfig,
 ) -> FilterState:
     """Advance one measurement interval: propagate, weight, resample, and
-    apply the variant's projection/feedback policy.
+    project the posterior when the variant feeds the projection back.
 
     ``y`` is the plain measurement; the augmented variants stack the
-    constraint target [y; d] themselves.
+    constraint target [y; d] themselves.  ``OTPROJ`` steps as ``OTF``.
     """
     variant = FilterVariant(variant)
     model = (
@@ -235,86 +232,115 @@ def filter_step(
     weights, degenerate = compute_weights(prior, model.effective_observation(y), model)
     posterior = ot_update(prior, weights, config.metric)
 
-    regularized_flag = False
-    if variant.uses_projection:
-        reported, artifacts = constraint_projection(
+    regularized = False
+    if variant.uses_feedback:
+        posterior, artifacts = constraint_projection(
             posterior, config.constraint, config.projection_innovation
         )
-        regularized_flag = artifacts.regularized
-        fed_forward = reported if variant.uses_feedback else posterior
-    else:
-        reported = posterior
-        fed_forward = posterior
+        regularized = artifacts.regularized
 
     return FilterState(
-        posterior=fed_forward,
-        reported=reported,
+        posterior=posterior,
         k=state.k + 1,
         t=state.t + config.dt,
         degenerate_weights=degenerate,
-        sigma_dd_regularized=regularized_flag,
+        sigma_dd_regularized=regularized,
     )
 
 
 def run_filter(
     initial: Ensemble,
     measurements: np.ndarray,
-    variant: FilterVariant,
+    variants: tuple[FilterVariant, ...],
     config: ExperimentConfig,
-) -> FilterRunResult:
-    """Run one filter over a measurement series.
+) -> tuple[dict[FilterVariant, FilterRunResult], dict[FilterVariant, str]]:
+    """Run the variants over one measurement series, each distinct chain once.
 
-    ``measurements`` holds one plain (unaugmented) measurement per row; the
-    augmented variants stack the constraint target internally.  The
-    constraint error at each step is | sqrt(x_hat^2 + y_hat^2) - L |
-    evaluated at the reported-ensemble mean.  A non-finite measurement
-    raises ``InvalidMeasurementError`` naming the first bad step before any
-    step runs.
+    ``measurements`` holds one plain measurement per row.  The constraint
+    error at each step is | sqrt(x_hat^2 + y_hat^2) - L | at the reported
+    mean.  Returns the results and the failure messages, in ``variants``
+    order.  A failure in a chain fails each of its variants that has not
+    failed yet (a non-finite measurement, before the first step); a failing
+    report projection fails ``OTPROJ`` alone.
     """
-    variant = FilterVariant(variant)
+    variants = tuple(dict.fromkeys(FilterVariant(v) for v in variants))
     measurements = np.asarray(measurements, dtype=float)
     if measurements.size == 0:
         measurements = measurements.reshape(0, config.measurement.dim)
     else:
         measurements = np.atleast_2d(measurements)
     bad_rows = np.flatnonzero(~np.isfinite(measurements).all(axis=1))
-    if bad_rows.size:
-        row = int(bad_rows[0])
-        raise InvalidMeasurementError(
-            f"measurement for step {row + 1} (row {row}) is not finite"
+    chains: dict[tuple[bool, bool], list[FilterVariant]] = {}
+    for variant in variants:
+        chain = chains.setdefault((variant.uses_augmentation, variant.uses_feedback), [])
+        chain.append(variant)
+    steps: dict[FilterVariant, list] = {variant: [] for variant in variants}
+    failures: dict[FilterVariant, str] = {}
+    for chain in chains.values():
+        state = FilterState(posterior=initial)
+        try:
+            if bad_rows.size:
+                row = int(bad_rows[0])
+                raise InvalidMeasurementError(
+                    f"measurement for step {row + 1} (row {row}) is not finite"
+                )
+            for y in measurements:
+                state = filter_step(state, y, chain[0], config)
+                for variant in chain:
+                    if variant not in failures:
+                        try:
+                            steps[variant].append(_report(state, variant, config))
+                        except _FAILURES as exc:
+                            failures[variant] = f"{type(exc).__name__}: {exc}"
+                if all(variant in failures for variant in chain):
+                    break
+        except _FAILURES as exc:
+            for variant in chain:
+                failures.setdefault(variant, f"{type(exc).__name__}: {exc}")
+    results = {}
+    for variant in variants:
+        if variant not in failures:
+            result = _run_result(initial, steps[variant], config.pendulum.L)
+            series = (result.mean, result.std, result.constraint_error)
+            if all(np.isfinite(values).all() for values in series):
+                results[variant] = result
+            else:
+                failures[variant] = "non-finite values in output series"
+    return results, {variant: failures[variant] for variant in variants if variant in failures}
+
+
+def _report(state: FilterState, variant: FilterVariant, config: ExperimentConfig) -> tuple:
+    """(t, mean, std, degenerate, regularized) of ``variant`` at one step."""
+    reported, regularized = state.posterior, state.sigma_dd_regularized
+    if variant is FilterVariant.OTPROJ:
+        reported, artifacts = constraint_projection(
+            reported, config.constraint, config.projection_innovation
         )
+        regularized = artifacts.regularized
+    std = np.sqrt(np.diag(covariance(reported)))
+    return state.t, mean(reported), std, state.degenerate_weights, regularized
 
-    state = FilterState(posterior=initial, reported=initial)
-    times, means, stds, errors = [], [], [], []
-    degenerate_steps = 0
-    regularized_steps = 0
-    for y in measurements:
-        state = filter_step(state, y, variant, config)
-        est = mean(state.reported)
-        times.append(state.t)
-        means.append(est)
-        stds.append(np.sqrt(np.diag(covariance(state.reported))))
-        errors.append(_length_error(est, config.pendulum.L))
-        degenerate_steps += state.degenerate_weights
-        regularized_steps += state.sigma_dd_regularized
 
+def _run_result(initial: Ensemble, steps: list, length: float) -> FilterRunResult:
+    """One variant's series from its ``_report`` of every step."""
+    t, means, stds, degenerate, regularized = zip(*steps) if steps else ((),) * 5
     initial_mean = mean(initial)
     initial_std = (
         np.sqrt(np.diag(covariance(initial)))
         if initial.size > 1
         else np.zeros(initial.dim)
     )
-    n = len(times)
+    n = len(steps)
     return FilterRunResult(
-        t=np.asarray(times),
+        t=np.asarray(t),
         mean=np.asarray(means).reshape(n, initial.dim),
         std=np.asarray(stds).reshape(n, initial.dim),
-        constraint_error=np.asarray(errors),
+        constraint_error=np.asarray([_length_error(est, length) for est in means]),
         initial_mean=initial_mean,
         initial_std=initial_std,
-        initial_constraint_error=_length_error(initial_mean, config.pendulum.L),
-        degenerate_steps=degenerate_steps,
-        regularized_steps=regularized_steps,
+        initial_constraint_error=_length_error(initial_mean, length),
+        degenerate_steps=sum(degenerate),
+        regularized_steps=sum(regularized),
     )
 
 

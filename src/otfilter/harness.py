@@ -119,6 +119,12 @@ def validate_config(config: ExperimentConfig) -> None:
         raise ConfigError(f"dt must be positive, got {config.dt}")
     if config.t_final < config.dt:
         raise ConfigError(f"t_final must be at least dt, got {config.t_final}")
+    # A run holds a float64 state row per step.  Numpy refuses an array of
+    # more bytes than np.intp counts with a ValueError, not a MemoryError.
+    if config.t_final / config.dt > np.iinfo(np.intp).max // (4 * 8):
+        raise ConfigError(
+            f"t_final / dt = {config.t_final / config.dt:g} steps is more than an array can hold"
+        )
     if config.N < 2:
         raise ConfigError(f"ensemble size N must be at least 2, got {config.N}")
     if config.runs < 1:
@@ -131,8 +137,14 @@ def validate_config(config: ExperimentConfig) -> None:
         raise ConfigError(f"R_diag must be positive, got {config.R_diag}")
     if config.sigma_g <= 0:
         raise ConfigError(f"sigma_g must be positive, got {config.sigma_g}")
+    # The augmented noise covariance holds sigma_g^2, so it must neither
+    # overflow nor vanish.
+    if not 0 < config.sigma_g * config.sigma_g < np.inf:
+        raise ConfigError(f"sigma_g squared must be positive and finite, got {config.sigma_g}")
     if not config.variants:
         raise ConfigError("variant list must not be empty")
+    if len(set(config.variants)) < len(config.variants):
+        raise ConfigError(f"variants must not repeat, got {[v.value for v in config.variants]}")
     spread = config.initial_spread
     if spread.shape != (4, 4):
         raise ConfigError(f"initial_spread must be 4x4, got shape {spread.shape}")
@@ -316,22 +328,7 @@ def run_single(config: ExperimentConfig, run_index: int) -> RunRecord:
     center = truth.initial_state + spread_chol @ rng.standard_normal(4)
     initial = from_gaussian(center, config.initial_spread, config.N, rng)
 
-    results: dict[FilterVariant, FilterRunResult] = {}
-    failures: dict[FilterVariant, str] = {}
-    for variant in config.variants:
-        try:
-            result = run_filter(initial, truth.measurements, variant, config)
-        except (OTFilterError, np.linalg.LinAlgError) as exc:
-            failures[variant] = f"{type(exc).__name__}: {exc}"
-            continue
-        if not (
-            np.all(np.isfinite(result.mean))
-            and np.all(np.isfinite(result.std))
-            and np.all(np.isfinite(result.constraint_error))
-        ):
-            failures[variant] = "non-finite values in output series"
-            continue
-        results[variant] = result
+    results, failures = run_filter(initial, truth.measurements, config.variants, config)
     return RunRecord(
         run_index=run_index, seed=seed, truth=truth, results=results, failures=failures
     )

@@ -64,7 +64,9 @@ class TestValidateConfig:
     def test_malformed_and_non_finite_scalars(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         for text in ('{"dt": "abc"}', '{"N": null}', '{"sigma_g": NaN}',
-                     '{"N": 12.9}', '{"runs": true}', '{"dt": "0.05"}'):
+                     '{"N": 12.9}', '{"runs": true}', '{"dt": "0.05"}',
+                     '{"t_final": 1e300}', '{"sigma_g": 1e-170}',
+                     '{"variants": ["otf", "otf"]}'):
             path.write_text(text)
             assert main(["validate-config", str(path)]) == EXIT_CONFIG
             assert "config error" in capsys.readouterr().err
@@ -119,6 +121,15 @@ class TestRun:
             ["run", "--config", str(config_path), "--out", str(tmp_path / "x")]
         )
         assert code == EXIT_RUNTIME
+
+    def test_unallocatable_step_count_is_runtime_error(self, tmp_path, capsys):
+        # 2e17 steps pass validation, but their exabyte-sized truth arrays
+        # fail to allocate at once, before any step runs.
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps({"t_final": 1e16, "N": 6}))
+        code = main(["run", "--config", str(path), "--runs", "1", "--out", str(tmp_path / "x")])
+        assert code == EXIT_RUNTIME
+        assert "runtime error: Unable to allocate" in capsys.readouterr().err
 
     def test_one_worker_run_does_not_import_process_pool(self, config_path, tmp_path):
         # The pool machinery adds about a megabyte of resident memory.

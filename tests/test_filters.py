@@ -6,7 +6,11 @@ import numpy as np
 import pytest
 
 from otfilter.ensemble import Ensemble, from_gaussian, mean
-from otfilter.errors import InsufficientSamplesError
+from otfilter.errors import (
+    DecompositionError,
+    InsufficientSamplesError,
+    InvalidEnsembleError,
+)
 from otfilter.filters import (
     FilterState,
     FilterVariant,
@@ -41,18 +45,29 @@ def initial_truth(angle_deg=30.0):
     return np.array([math.cos(a), math.sin(a), 0.0, 0.0])
 
 
+def run_one(initial, measurements, variant, config):
+    """``run_filter`` of one variant, which must not fail."""
+    results, failures = run_filter(initial, measurements, [variant], config)
+    assert not failures
+    return results[variant]
+
+
+def report_projection(posterior, config):
+    """The projection ``OTPROJ`` reports for a posterior of its chain."""
+    return constraint_projection(posterior, config.constraint, config.projection_innovation)
+
+
 class TestVariantDispatch:
     def test_flag_table(self):
         table = {
-            FilterVariant.OTF: (False, False, False),
-            FilterVariant.OTPROJ: (False, True, False),
-            FilterVariant.OTNLEQ: (False, True, True),
-            FilterVariant.OTMA: (True, False, False),
-            FilterVariant.OTNLEQMA: (True, True, True),
+            FilterVariant.OTF: (False, False),
+            FilterVariant.OTPROJ: (False, False),
+            FilterVariant.OTNLEQ: (False, True),
+            FilterVariant.OTMA: (True, False),
+            FilterVariant.OTNLEQMA: (True, True),
         }
-        for variant, (aug, proj, feedback) in table.items():
+        for variant, (aug, feedback) in table.items():
             assert variant.uses_augmentation == aug
-            assert variant.uses_projection == proj
             assert variant.uses_feedback == feedback
 
     def test_diagnostics_report_stages(self):
@@ -62,16 +77,21 @@ class TestVariantDispatch:
             initial_truth(), np.diag([0.05**2] * 2 + [0.01**2] * 2), 30, rng
         )
         y = initial_truth()[:2]
-        for variant in FilterVariant:
-            state = FilterState(posterior=ensemble, reported=ensemble)
-            out = filter_step(state, y, variant, config)
-            if not variant.uses_projection:
+        outs = {
+            variant: filter_step(FilterState(posterior=ensemble), y, variant, config)
+            for variant in FilterVariant
+        }
+        for variant, out in outs.items():
+            if not variant.uses_feedback:
                 assert not out.sigma_dd_regularized
-            if variant is FilterVariant.OTPROJ:
-                # Reported is projected, fed-forward posterior is not.
-                assert out.reported is not out.posterior
-            else:
-                assert out.reported is out.posterior
+        # OTPROJ steps as OTF; the projection it reports is what OTNLEQ
+        # feeds forward.
+        otf = outs[FilterVariant.OTF].posterior
+        np.testing.assert_array_equal(outs[FilterVariant.OTPROJ].posterior.members, otf.members)
+        reported, _ = report_projection(otf, config)
+        np.testing.assert_array_equal(
+            reported.members, outs[FilterVariant.OTNLEQ].posterior.members
+        )
 
 
 class TestComputeWeights:
@@ -259,7 +279,7 @@ class TestFilterStep:
         rng = np.random.default_rng(7)
         config = pendulum_config(R_diag=1e12)
         e = from_gaussian(initial_truth(), 0.01 * np.eye(4), 25, rng)
-        state = FilterState(posterior=e, reported=e)
+        state = FilterState(posterior=e)
         out = filter_step(state, np.array([0.9, 0.4]), FilterVariant.OTF, config)
         expected = propagate_state(e.members, PARAMS, config.dt, config.substeps)
         np.testing.assert_allclose(out.posterior.members, expected, atol=1e-8)
@@ -272,10 +292,11 @@ class TestFilterStep:
             initial_truth(), np.diag([0.05**2] * 2 + [0.01**2] * 2), 30, rng
         )
         y = initial_truth()[:2] + 0.05
-        state = FilterState(posterior=e, reported=e)
+        state = FilterState(posterior=e)
         proj = filter_step(state, y, FilterVariant.OTPROJ, config)
         nleq = filter_step(state, y, FilterVariant.OTNLEQ, config)
-        np.testing.assert_array_equal(proj.reported.members, nleq.reported.members)
+        reported, _ = report_projection(proj.posterior, config)
+        np.testing.assert_array_equal(reported.members, nleq.posterior.members)
         # They diverge only through feedback: the fed-forward ensembles differ.
         assert not np.array_equal(proj.posterior.members, nleq.posterior.members)
 
@@ -294,7 +315,7 @@ class TestFilterStep:
                 (FilterVariant.OTF, otf_err),
                 (FilterVariant.OTNLEQMA, ma_err),
             ):
-                state = FilterState(posterior=e, reported=e)
+                state = FilterState(posterior=e)
                 local_truth = truth.copy()
                 step_rng = np.random.default_rng(1000 + seed)
                 for _ in range(6):
@@ -303,7 +324,7 @@ class TestFilterStep:
                     )
                     y = local_truth[:2] + 0.1 * step_rng.standard_normal(2)
                     state = filter_step(state, y, variant, config)
-                est = mean(state.reported)
+                est = mean(state.posterior)
                 bucket.append(abs(math.hypot(est[0], est[1]) - 1.0))
         assert np.mean(ma_err) < np.mean(otf_err)
 
@@ -317,12 +338,18 @@ class TestCollapsedEnsemble:
         config = pendulum_config()
         e = Ensemble(np.tile(initial_truth(), (n, 1)))
         y = initial_truth()[:2] + 0.05
-        out = filter_step(FilterState(posterior=e, reported=e), y, variant, config)
-        assert out.reported.members.shape == (n, 4)
-        assert out.sigma_dd_regularized is variant.uses_projection
-        result = run_filter(e, np.tile(y, (3, 1)), variant, config)
+        out = filter_step(FilterState(posterior=e), y, variant, config)
+        assert out.posterior.members.shape == (n, 4)
+        assert out.sigma_dd_regularized is variant.uses_feedback
+        projects = variant.uses_feedback or variant is FilterVariant.OTPROJ
+        if variant is FilterVariant.OTPROJ:
+            reported, artifacts = report_projection(out.posterior, config)
+            nleq = filter_step(FilterState(posterior=e), y, FilterVariant.OTNLEQ, config)
+            np.testing.assert_array_equal(reported.members, nleq.posterior.members)
+            assert artifacts.regularized
+        result = run_one(e, np.tile(y, (3, 1)), variant, config)
         assert np.all(np.isfinite(result.mean))
-        assert result.regularized_steps == (3 if variant.uses_projection else 0)
+        assert result.regularized_steps == (3 if projects else 0)
 
 
 class TestRunFilter:
@@ -330,7 +357,7 @@ class TestRunFilter:
         rng = np.random.default_rng(9)
         config = pendulum_config()
         e = from_gaussian(initial_truth(), 0.01 * np.eye(4), 10, rng)
-        result = run_filter(e, np.empty((0, 2)), FilterVariant.OTF, config)
+        result = run_one(e, np.empty((0, 2)), FilterVariant.OTF, config)
         assert result.t.size == 0
         np.testing.assert_allclose(result.initial_mean, mean(e))
         assert result.initial_constraint_error >= 0
@@ -349,7 +376,7 @@ class TestRunFilter:
             12, np.random.default_rng(3),
         )
         ys = np.tile(initial_truth()[:2], (5, 1))
-        result = run_filter(e, ys, FilterVariant.OTMA, pendulum_config())
+        result = run_one(e, ys, FilterVariant.OTMA, pendulum_config())
         assert result.t.size == 5
         assert len(built) <= 1
 
@@ -369,7 +396,7 @@ class TestRunFilter:
                 initial_truth(), np.diag([0.05**2] * 2 + [0.01**2] * 2),
                 25, np.random.default_rng(13),
             )
-            runs.append(run_filter(e, ys, FilterVariant.OTNLEQMA, config))
+            runs.append(run_one(e, ys, FilterVariant.OTNLEQMA, config))
         np.testing.assert_array_equal(runs[0].mean, runs[1].mean)
         np.testing.assert_array_equal(runs[0].std, runs[1].std)
         np.testing.assert_array_equal(
@@ -387,8 +414,8 @@ class TestRunFilter:
             chol = np.linalg.cholesky(config.initial_spread)
             center = truth.initial_state + chol @ rng.standard_normal(4)
             e = from_gaussian(center, config.initial_spread, config.N, rng)
-            otf = run_filter(e, truth.measurements, FilterVariant.OTF, config)
-            nleq = run_filter(e, truth.measurements, FilterVariant.OTNLEQ, config)
+            otf = run_one(e, truth.measurements, FilterVariant.OTF, config)
+            nleq = run_one(e, truth.measurements, FilterVariant.OTNLEQ, config)
             otf_first = otf.constraint_error[otf.t <= 2.0].mean()
             otf_final = otf.constraint_error[otf.t > 8.0].mean()
             assert otf_final > 2.0 * otf_first
@@ -412,8 +439,116 @@ class TestRunFilter:
             40,
             np.random.default_rng(17),
         )
-        result = run_filter(e, np.array(ys), FilterVariant.OTF, config)
+        result = run_one(e, np.array(ys), FilterVariant.OTF, config)
         position_err = np.linalg.norm(
             result.mean[:, :2] - np.array(states)[:, :2], axis=1
         )
         assert position_err.max() < 3 * noise_floor
+
+
+class TestSharedChains:
+    # OTF and OTPROJ share one chain; OTPROJ reports its projection.
+    @staticmethod
+    def setup(n_steps=5):
+        config = ExperimentConfig(N=10, t_final=n_steps * 0.05, runs=1)
+        rng = np.random.default_rng(21)
+        truth = simulate_truth(config, rng)
+        e = from_gaussian(truth.initial_state, config.initial_spread, config.N, rng)
+        return config, e, truth.measurements
+
+    def test_otproj_alone_matches_otproj_beside_otf(self):
+        config, e, ys = self.setup()
+        together, _ = run_filter(e, ys, list(FilterVariant), config)
+        assert list(together) == list(FilterVariant)
+        alone = run_one(e, ys, FilterVariant.OTPROJ, config)
+        for field in ("t", "mean", "std", "constraint_error"):
+            np.testing.assert_array_equal(
+                getattr(alone, field), getattr(together[FilterVariant.OTPROJ], field)
+            )
+        assert alone.regularized_steps == together[FilterVariant.OTPROJ].regularized_steps
+
+    @staticmethod
+    def fail_on_call(monkeypatch, name, call, error):
+        """Make ``filters.<name>`` raise ``error`` on its ``call``-th call
+        (never, for 0); returns the list that counts the calls."""
+        import otfilter.filters as filters_module
+
+        real = getattr(filters_module, name)
+        calls = []
+
+        def failing(*args):
+            calls.append(None)
+            if len(calls) == call:
+                raise error
+            return real(*args)
+
+        monkeypatch.setattr(filters_module, name, failing)
+        return calls
+
+    def fail_projection_at(self, monkeypatch, call):
+        error = DecompositionError("synthetic projection failure")
+        return self.fail_on_call(monkeypatch, "constraint_projection", call, error)
+
+    def fail_propagation_at(self, monkeypatch, call):
+        error = InvalidEnsembleError("synthetic overflow")
+        return self.fail_on_call(monkeypatch, "propagate_ensemble", call, error)
+
+    def test_report_projection_failure_fails_only_otproj(self, monkeypatch):
+        config, e, ys = self.setup()
+        variants = [FilterVariant.OTF, FilterVariant.OTPROJ]
+        otf = run_one(e, ys, FilterVariant.OTF, config)
+        self.fail_projection_at(monkeypatch, 2)
+        results, failures = run_filter(e, ys, variants, config)
+        assert failures == {
+            FilterVariant.OTPROJ: "DecompositionError: synthetic projection failure"
+        }
+        np.testing.assert_array_equal(results[FilterVariant.OTF].mean, otf.mean)
+        np.testing.assert_array_equal(results[FilterVariant.OTF].std, otf.std)
+
+    def test_later_chain_failure_keeps_the_first_message(self, monkeypatch):
+        config, e, ys = self.setup()
+        variants = [FilterVariant.OTF, FilterVariant.OTPROJ]
+        self.fail_projection_at(monkeypatch, 2)
+        self.fail_propagation_at(monkeypatch, 4)
+        results, failures = run_filter(e, ys, variants, config)
+        assert not results
+        assert failures == {
+            FilterVariant.OTF: "InvalidEnsembleError: step 4: propagated ensemble is not finite",
+            FilterVariant.OTPROJ: "DecompositionError: synthetic projection failure",
+        }
+
+    def test_chain_failure_fails_every_variant_on_the_chain(self, monkeypatch):
+        config, e, ys = self.setup()
+        variants = [FilterVariant.OTMA, FilterVariant.OTPROJ, FilterVariant.OTF]
+        otma = run_one(e, ys, FilterVariant.OTMA, config)
+        # Chains run in order of first appearance: OTMA's five steps, then
+        # the shared OTF/OTPROJ chain.
+        self.fail_propagation_at(monkeypatch, 5 + 3)
+        results, failures = run_filter(e, ys, variants, config)
+        message = "InvalidEnsembleError: step 3: propagated ensemble is not finite"
+        assert list(failures) == [FilterVariant.OTPROJ, FilterVariant.OTF]
+        assert set(failures.values()) == {message}
+        np.testing.assert_array_equal(results[FilterVariant.OTMA].mean, otma.mean)
+
+    def test_chain_stops_once_every_variant_on_it_failed(self, monkeypatch):
+        config, e, ys = self.setup()
+        self.fail_projection_at(monkeypatch, 2)
+        calls = self.fail_propagation_at(monkeypatch, 0)
+        results, failures = run_filter(e, ys, [FilterVariant.OTPROJ], config)
+        assert not results
+        assert failures == {
+            FilterVariant.OTPROJ: "DecompositionError: synthetic projection failure"
+        }
+        assert len(calls) == 2
+
+    def test_non_finite_measurement_fails_every_variant(self):
+        config, e, ys = self.setup()
+        ys = ys.copy()
+        ys[2, 0] = np.nan
+        results, failures = run_filter(e, ys, list(FilterVariant), config)
+        assert not results
+        assert list(failures) == list(FilterVariant)
+        for message in failures.values():
+            assert message == (
+                "InvalidMeasurementError: measurement for step 3 (row 2) is not finite"
+            )

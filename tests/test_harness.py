@@ -136,12 +136,20 @@ class TestConfig:
             {"initial_spread": [math.nan, 0.0025, 1e-4, 1e-4]},
             {"pendulum": {"L": 1e300}},
             {"pendulum": {"L": 1e-200}},
+            {"variants": ["otf", "otproj", "otf"]},
+            {"t_final": 1e300},
+            {"t_final": 1e17},
+            {"dt": 5e-324, "t_final": 1.0},
+            {"sigma_g": 1e-170},
+            {"sigma_g": 1e200},
         ],
         ids=["dt-str", "dt-list", "N-null", "N-inf", "spread-str", "dt-nan",
              "t_final-inf", "R_diag-nan", "sigma_g-nan", "L-nan", "g-inf",
              "N-fraction", "runs-bool", "dt-bool", "dt-numeric-str", "seed-str",
              "L-bool", "spread-numeric-str", "spread-bool", "seed-negative",
-             "spread-inf", "spread-nan", "L-square-overflow", "L-square-underflow"],
+             "spread-inf", "spread-nan", "L-square-overflow", "L-square-underflow",
+             "variants-repeated", "steps-overflow", "steps-past-address-space",
+             "steps-inf", "sigma_g-square-underflow", "sigma_g-square-overflow"],
     )
     def test_malformed_or_non_finite_values_rejected(self, raw):
         with pytest.raises(ConfigError):
@@ -354,18 +362,35 @@ class TestRunSingle:
         assert not record.failures
         assert set(record.results) == set(config.variants)
 
+    def test_each_distinct_chain_solved_once(self, monkeypatch):
+        # OTF and OTPROJ share a chain, so five variants make four chains.
+        import otfilter.filters as filters_module
+
+        real_solve = filters_module.solve_transport
+        solves = []
+
+        def counting(cost, weights):
+            solves.append(None)
+            return real_solve(cost, weights)
+
+        monkeypatch.setattr(filters_module, "solve_transport", counting)
+        config = small_config(runs=1, variants=tuple(FilterVariant))
+        record = run_single(config, 0)
+        assert list(record.results) == list(FilterVariant)
+        assert len(solves) == 4 * config.n_steps
+
     def test_variant_failure_recorded_not_fatal(self, monkeypatch):
         # A solver blow-up in one variant is recorded on the run and the
         # aggregate counts it, while other variants keep their results.
         import otfilter.harness as harness_module
-        from otfilter.errors import NonconvergenceError
 
         real_run_filter = harness_module.run_filter
 
-        def flaky(initial, measurements, variant, config):
-            if FilterVariant(variant) is FilterVariant.OTF:
-                raise NonconvergenceError("synthetic failure")
-            return real_run_filter(initial, measurements, variant, config)
+        def flaky(initial, measurements, variants, config):
+            others = [v for v in variants if v is not FilterVariant.OTF]
+            results, failures = real_run_filter(initial, measurements, others, config)
+            failures[FilterVariant.OTF] = "NonconvergenceError: synthetic failure"
+            return results, failures
 
         monkeypatch.setattr(harness_module, "run_filter", flaky)
         result = monte_carlo(small_config())
