@@ -19,7 +19,6 @@ from .errors import (
     MarginalInfeasibilityError,
     NonconvergenceError,
     OTFilterError,
-    SingularCovarianceError,
 )
 from .filters import (
     FilterRunResult,

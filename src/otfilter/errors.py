@@ -17,10 +17,6 @@ class DecompositionError(OTFilterError):
     """A covariance matrix failed its required factorization."""
 
 
-class SingularCovarianceError(OTFilterError):
-    """A noise covariance is singular where an inverse is required."""
-
-
 class InvalidMeasurementError(OTFilterError):
     """A measurement series holds a non-finite value; names the first bad step."""
 

@@ -37,7 +37,6 @@ from .models import (
     AugmentedMeasurementModel,
     ConstraintSpec,
     MeasurementModel,
-    gaussian_log_likelihoods,
     propagate_ensemble,
 )
 from .transport import (
@@ -118,7 +117,6 @@ class FilterRunResult:
     std: np.ndarray
     constraint_error: np.ndarray
     initial_mean: np.ndarray
-    initial_std: np.ndarray
     initial_constraint_error: float
     degenerate_steps: int = 0
     regularized_steps: int = 0
@@ -129,18 +127,14 @@ def compute_weights(
     y: np.ndarray,
     model: MeasurementModel | AugmentedMeasurementModel,
 ) -> tuple[WeightVector, bool]:
-    """Normalized likelihood weights for each member.
+    """Normalized likelihood weights of the plain measurement ``y`` for each
+    member, under either model.
 
     Returns the weights and a degeneracy flag: when every raw likelihood
     underflows the floating-point floor the weights fall back to uniform
     and the flag is set instead of aborting the run.
     """
-    y = np.asarray(y, dtype=float)
-    if y.size != model.dim:
-        raise ValueError(
-            f"measurement dimension {y.size} does not match model dimension {model.dim}"
-        )
-    logs = gaussian_log_likelihoods(y, model.predict_members(prior.members), model.noise_cov())
+    logs = model.log_likelihoods(prior.members, y)
     if logs.max() < _LOG_UNDERFLOW:
         n = prior.size
         return WeightVector(np.full(n, 1.0 / n)), True
@@ -213,8 +207,8 @@ def filter_step(
     """Advance one measurement interval: propagate, weight, resample, and
     project the posterior when the variant feeds the projection back.
 
-    ``y`` is the plain measurement; the augmented variants stack the
-    constraint target [y; d] themselves.  ``OTPROJ`` steps as ``OTF``.
+    ``y`` is the plain measurement for either model.  ``OTPROJ`` steps as
+    ``OTF``.
     """
     variant = FilterVariant(variant)
     model = (
@@ -229,7 +223,7 @@ def filter_step(
         raise InvalidEnsembleError(
             f"step {state.k + 1}: propagated ensemble is not finite"
         ) from exc
-    weights, degenerate = compute_weights(prior, model.effective_observation(y), model)
+    weights, degenerate = compute_weights(prior, y, model)
     posterior = ot_update(prior, weights, config.metric)
 
     regularized = False
@@ -325,11 +319,6 @@ def _run_result(initial: Ensemble, steps: list, length: float) -> FilterRunResul
     """One variant's series from its ``_report`` of every step."""
     t, means, stds, degenerate, regularized = zip(*steps) if steps else ((),) * 5
     initial_mean = mean(initial)
-    initial_std = (
-        np.sqrt(np.diag(covariance(initial)))
-        if initial.size > 1
-        else np.zeros(initial.dim)
-    )
     n = len(steps)
     return FilterRunResult(
         t=np.asarray(t),
@@ -337,7 +326,6 @@ def _run_result(initial: Ensemble, steps: list, length: float) -> FilterRunResul
         std=np.asarray(stds).reshape(n, initial.dim),
         constraint_error=np.asarray([_length_error(est, length) for est in means]),
         initial_mean=initial_mean,
-        initial_std=initial_std,
         initial_constraint_error=_length_error(initial_mean, length),
         degenerate_steps=sum(degenerate),
         regularized_steps=sum(regularized),

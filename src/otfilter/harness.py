@@ -127,6 +127,9 @@ def validate_config(config: ExperimentConfig) -> None:
         )
     if config.N < 2:
         raise ConfigError(f"ensemble size N must be at least 2, got {config.N}")
+    # A step builds an N x N float64 cost matrix; Python ints cannot overflow.
+    if config.N * config.N * 8 > np.iinfo(np.intp).max:
+        raise ConfigError(f"ensemble size N = {config.N} is more than an array can hold")
     if config.runs < 1:
         raise ConfigError(f"runs must be at least 1, got {config.runs}")
     if config.base_seed < 0:
@@ -292,7 +295,6 @@ def simulate_truth(config: ExperimentConfig, rng: np.random.Generator) -> TruthD
     """RK4 truth from the configured release angle, one noisy position
     measurement per dt."""
     model = config.measurement
-    chol = np.linalg.cholesky(model.R)
     state = config.initial_truth_state()
     initial = state.copy()
     n_steps = config.n_steps
@@ -303,7 +305,7 @@ def simulate_truth(config: ExperimentConfig, rng: np.random.Generator) -> TruthD
         state = propagate_state(state, config.pendulum, config.dt, config.substeps)
         times[k] = (k + 1) * config.dt
         states[k] = state
-        measurements[k] = model.H @ state + chol @ rng.standard_normal(model.dim)
+        measurements[k] = model.H @ state + model.chol @ rng.standard_normal(model.dim)
     return TruthData(
         times=times, states=states, measurements=measurements, initial_state=initial
     )

@@ -9,13 +9,12 @@ continuous dynamics but not of a discretized or assimilated trajectory.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from .ensemble import Ensemble
-from .errors import SingularCovarianceError
 
 DEFAULT_CONSTRAINT_SIGMA = 5e-2
 
@@ -39,10 +38,12 @@ class PendulumParams:
 
 @dataclass(frozen=True)
 class MeasurementModel:
-    """Linear observation y = H x + v with v ~ N(0, R)."""
+    """Linear observation y = H x + v with v ~ N(0, R); ``chol`` is the
+    lower Cholesky factor of R, computed once."""
 
     H: np.ndarray
     R: np.ndarray
+    chol: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         H = np.atleast_2d(np.asarray(self.H, dtype=float))
@@ -55,20 +56,16 @@ class MeasurementModel:
             raise ValueError("R must be symmetric")
         if np.linalg.eigvalsh(R).min() <= 0:
             raise ValueError("R must be positive definite")
+        object.__setattr__(self, "chol", np.linalg.cholesky(R))
 
     @property
     def dim(self) -> int:
         return self.H.shape[0]
 
-    def predict_members(self, members: np.ndarray) -> np.ndarray:
-        """Noise-free predicted measurement for each member, (N, m)."""
-        return members @ self.H.T
-
-    def effective_observation(self, y: np.ndarray) -> np.ndarray:
-        return np.asarray(y, dtype=float)
-
-    def noise_cov(self) -> np.ndarray:
-        return self.R
+    def log_likelihoods(self, members: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Log-likelihood of the measurement ``y`` for each member, (N,)."""
+        y = _measurement(y, self.dim)
+        return _log_likelihoods(members @ self.H.T, y, self.chol)
 
 
 @dataclass(frozen=True)
@@ -105,38 +102,55 @@ class AugmentedMeasurementModel:
 
     The constraint block uses a tight Gaussian pseudo-noise (sigma_g per
     constraint component) instead of a Dirac delta so off-constraint members
-    keep a nonzero, strongly suppressed weight.
+    keep a nonzero, strongly suppressed weight.  ``chol`` is the lower
+    Cholesky factor of blockdiag(R, sigma_g^2 I), computed once.
     """
 
     base: MeasurementModel
     constraint: ConstraintSpec
     sigma_g: float = DEFAULT_CONSTRAINT_SIGMA
+    chol: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.sigma_g <= 0:
-            raise ValueError(f"sigma_g must be positive, got {self.sigma_g}")
-
-    @property
-    def dim(self) -> int:
-        return self.base.dim + self.constraint.dim
-
-    def predict_members(self, members: np.ndarray) -> np.ndarray:
-        """Stacked prediction [h(x); g(x)] for each member, (N, m+s)."""
-        return np.hstack(
-            [self.base.predict_members(members), self.constraint.evaluate(members)]
-        )
-
-    def effective_observation(self, y: np.ndarray) -> np.ndarray:
-        """Stacked observation [y; d]."""
-        return np.concatenate([np.asarray(y, dtype=float), self.constraint.d])
-
-    def noise_cov(self) -> np.ndarray:
-        s = self.constraint.dim
-        m = self.base.dim
+        # sigma_g**2 below raises OverflowError where this product is inf.
+        if not (self.sigma_g > 0 and 0 < self.sigma_g * self.sigma_g < np.inf):
+            raise ValueError(
+                f"sigma_g must be positive with a nonzero, finite square, got {self.sigma_g}"
+            )
+        m, s = self.base.dim, self.constraint.dim
         cov = np.zeros((m + s, m + s))
         cov[:m, :m] = self.base.R
         cov[m:, m:] = self.sigma_g**2 * np.eye(s)
-        return cov
+        object.__setattr__(self, "chol", np.linalg.cholesky(cov))
+
+    def log_likelihoods(self, members: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Log-likelihood of the stacked observation [y; d] against
+        [H x; g(x)] for each member, (N,)."""
+        observed = np.concatenate([_measurement(y, self.base.dim), self.constraint.d])
+        predicted = np.hstack([members @ self.base.H.T, self.constraint.evaluate(members)])
+        return _log_likelihoods(predicted, observed, self.chol)
+
+
+def _measurement(y: np.ndarray, dim: int) -> np.ndarray:
+    """``y`` as floats, checked against the model's measurement dimension."""
+    y = np.asarray(y, dtype=float)
+    if y.size != dim:
+        raise ValueError(f"measurement dimension {y.size} does not match model dimension {dim}")
+    return y
+
+
+def _log_likelihoods(
+    predicted: np.ndarray, observed: np.ndarray, chol: np.ndarray
+) -> np.ndarray:
+    """Log of the unnormalized Gaussian likelihood -0.5 r^T C^-1 r, with
+    C = chol chol^T, for a batch of predictions, (N,); its peak is 0.
+
+    The normalization constant is omitted because weights are renormalized
+    downstream.
+    """
+    residual = np.atleast_2d(predicted) - observed
+    whitened = np.linalg.solve(chol, residual.T)
+    return -0.5 * np.einsum("ij,ij->j", whitened, whitened)
 
 
 def pendulum_derivative(state: np.ndarray, params: PendulumParams) -> np.ndarray:
@@ -190,25 +204,6 @@ def propagate_ensemble(
 ) -> Ensemble:
     """Propagate every member through the dynamics."""
     return Ensemble(propagate_state(e.members, params, dt, substeps))
-
-
-def gaussian_log_likelihoods(
-    y: np.ndarray, predicted: np.ndarray, R: np.ndarray
-) -> np.ndarray:
-    """Log of the unnormalized Gaussian likelihood -0.5 r^T R^-1 r for a batch
-    of predictions, (N,); its peak is 0.
-
-    The normalization constant is omitted because weights are renormalized
-    downstream.
-    """
-    R = np.atleast_2d(np.asarray(R, dtype=float))
-    try:
-        chol = np.linalg.cholesky(R)
-    except np.linalg.LinAlgError as exc:
-        raise SingularCovarianceError(f"R is not positive definite: {exc}") from exc
-    residual = np.atleast_2d(predicted) - np.asarray(y, dtype=float)
-    whitened = np.linalg.solve(chol, residual.T)
-    return -0.5 * np.einsum("ij,ij->j", whitened, whitened)
 
 
 def pendulum_constraint(state: np.ndarray) -> float | np.ndarray:

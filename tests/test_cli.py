@@ -2,11 +2,13 @@
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import otfilter.cli
@@ -71,6 +73,15 @@ class TestValidateConfig:
             assert main(["validate-config", str(path)]) == EXIT_CONFIG
             assert "config error" in capsys.readouterr().err
 
+    def test_largest_array_ensemble_size_accepted(self, tmp_path, capsys):
+        # A step builds an N x N float64 cost matrix; validation allocates none.
+        largest = math.isqrt(np.iinfo(np.intp).max // 8)
+        path = tmp_path / "wide.json"
+        for n, code in ((largest, EXIT_OK), (largest + 1, EXIT_CONFIG)):
+            path.write_text(json.dumps({"N": n}))
+            assert main(["validate-config", str(path)]) == code
+        assert "more than an array can hold" in capsys.readouterr().err
+
 
 class TestRun:
     def test_run_writes_series_and_summary(self, config_path, tmp_path, capsys):
@@ -130,6 +141,13 @@ class TestRun:
         code = main(["run", "--config", str(path), "--runs", "1", "--out", str(tmp_path / "x")])
         assert code == EXIT_RUNTIME
         assert "runtime error: Unable to allocate" in capsys.readouterr().err
+
+    def test_unallocatable_ensemble_size_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({"N": 10**18, "t_final": 0.1}))
+        code = main(["run", "--config", str(path), "--out", str(tmp_path / "x")])
+        assert code == EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
 
     def test_one_worker_run_does_not_import_process_pool(self, config_path, tmp_path):
         # The pool machinery adds about a megabyte of resident memory.

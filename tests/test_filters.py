@@ -125,7 +125,7 @@ class TestComputeWeights:
         off = np.array([on[0] * scale, on[1] * scale, 0.0, 0.0])
         e = Ensemble(np.vstack([on, off]))
         y = on[:2]
-        w, _ = compute_weights(e, aug.effective_observation(y), aug)
+        w, _ = compute_weights(e, y, aug)
         ratio = w.w[1] / w.w[0]
         np.testing.assert_allclose(
             ratio, math.exp(-(delta**2) / (2 * sigma_g**2)), rtol=1e-6
@@ -149,7 +149,7 @@ class TestComputeWeights:
         )
         y = initial_truth()[:2]
         w_base, _ = compute_weights(e, y, base)
-        w_aug, _ = compute_weights(e, aug.effective_observation(y), aug)
+        w_aug, _ = compute_weights(e, y, aug)
         np.testing.assert_allclose(w_aug.w, w_base.w, atol=1e-6)
 
     def test_dimension_mismatch_rejected(self):
@@ -444,6 +444,29 @@ class TestRunFilter:
             result.mean[:, :2] - np.array(states)[:, :2], axis=1
         )
         assert position_err.max() < 3 * noise_floor
+
+
+class TestNoiseFactorization:
+    def test_each_model_factors_its_noise_once(self, monkeypatch):
+        # One factor of R for the truth and the plain model, one of
+        # blockdiag(R, sigma_g^2 I) for the augmented model; none per step.
+        config = ExperimentConfig(N=10, t_final=5 * 0.05, runs=1)
+        rng = np.random.default_rng(21)
+        e = from_gaussian(config.initial_truth_state(), config.initial_spread, config.N, rng)
+        shapes = []
+        cholesky = np.linalg.cholesky
+
+        def counting_cholesky(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return cholesky(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "cholesky", counting_cholesky)
+        ys = simulate_truth(config, rng).measurements
+        variants = [FilterVariant.OTF, FilterVariant.OTMA]
+        results, failures = run_filter(e, ys, variants, config)
+        assert not failures
+        assert [len(results[v].t) for v in variants] == [5, 5]
+        assert shapes == [(2, 2), (3, 3)]
 
 
 class TestSharedChains:

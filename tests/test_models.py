@@ -6,13 +6,11 @@ import numpy as np
 import pytest
 
 from otfilter.ensemble import Ensemble
-from otfilter.errors import SingularCovarianceError
 from otfilter.models import (
     AugmentedMeasurementModel,
     ConstraintSpec,
     MeasurementModel,
     PendulumParams,
-    gaussian_log_likelihoods,
     pendulum_constraint,
     pendulum_constraint_spec,
     pendulum_derivative,
@@ -109,43 +107,48 @@ class TestPropagate:
         assert worst < 1e-6
 
 
+def identity_model(R):
+    """A model observing the state directly, so a member is its prediction."""
+    R = np.atleast_2d(R)
+    return MeasurementModel(H=np.eye(R.shape[0]), R=R)
+
+
 class TestGaussianLikelihood:
     def test_peak_value_is_one(self):
         y = np.array([0.3, -0.4])
-        assert gaussian_log_likelihoods(y, y, 0.01 * np.eye(2))[0] == 0.0
+        assert identity_model(0.01 * np.eye(2)).log_likelihoods(y[None, :], y)[0] == 0.0
 
     def test_known_exponent(self):
         y = np.array([0.1, 0.0])
-        value = gaussian_log_likelihoods(y, np.zeros(2), 0.01 * np.eye(2))[0]
+        value = identity_model(0.01 * np.eye(2)).log_likelihoods(np.zeros((1, 2)), y)[0]
         np.testing.assert_allclose(value, -0.5, rtol=1e-12)
 
     def test_quadratic_log_scaling(self):
-        R = 0.04 * np.eye(2)
+        model = identity_model(0.04 * np.eye(2))
         r = np.array([0.05, -0.02])
-        l1 = gaussian_log_likelihoods(r, np.zeros(2), R)[0]
-        l2 = gaussian_log_likelihoods(2 * r, np.zeros(2), R)[0]
+        l1 = model.log_likelihoods(np.zeros((1, 2)), r)[0]
+        l2 = model.log_likelihoods(np.zeros((1, 2)), 2 * r)[0]
         np.testing.assert_allclose(l2, 4 * l1, rtol=1e-10)
 
     def test_symmetry_in_arguments(self):
         rng = np.random.default_rng(3)
         a, b = rng.normal(size=2), rng.normal(size=2)
-        R = np.diag([0.3, 0.7])
-        assert gaussian_log_likelihoods(a, b, R)[0] == pytest.approx(
-            gaussian_log_likelihoods(b, a, R)[0]
+        model = identity_model(np.diag([0.3, 0.7]))
+        assert model.log_likelihoods(b[None, :], a)[0] == pytest.approx(
+            model.log_likelihoods(a[None, :], b)[0]
         )
 
     def test_decreasing_in_radius(self):
-        R = 0.5 * np.eye(1)
         radii = np.array([[0.0], [0.5], [1.0], [2.0]])
-        values = gaussian_log_likelihoods(np.zeros(1), radii, R)
+        values = identity_model(0.5 * np.eye(1)).log_likelihoods(radii, np.zeros(1))
         assert values.shape == (4,)
         assert np.all(np.diff(values) < 0)
 
     def test_singular_R_rejected(self):
-        with pytest.raises(SingularCovarianceError):
-            gaussian_log_likelihoods(
-                np.zeros(2), np.zeros((3, 2)), np.zeros((2, 2))
-            )
+        # The noise is factored when the model is built, so a singular R
+        # never reaches a likelihood.
+        with pytest.raises(ValueError, match="positive definite"):
+            identity_model(np.zeros((2, 2)))
 
 
 class TestConstraint:
@@ -175,31 +178,36 @@ class TestConstraint:
 
 class TestAugmentedModel:
     def test_dimensions_and_stacking(self):
+        # The model stacks [y; d] and factors blockdiag(R, sigma_g^2 I).
         base = pendulum_measurement_model(0.01)
         aug = AugmentedMeasurementModel(base, pendulum_constraint_spec(PARAMS), 1e-2)
-        assert aug.dim == 3
-        y = np.array([0.86, 0.51])
-        np.testing.assert_array_equal(aug.effective_observation(y), [0.86, 0.51, 1.0])
-        cov = aug.noise_cov()
-        np.testing.assert_allclose(cov, np.diag([0.01, 0.01, 1e-4]))
+        np.testing.assert_allclose(aug.chol @ aug.chol.T, np.diag([0.01, 0.01, 1e-4]))
+        member = np.array([[0.86, 0.51, 0.0, 0.0]])
+        violation = 0.86**2 + 0.51**2 - 1.0
+        value = aug.log_likelihoods(member, np.array([0.86, 0.51]))[0]
+        np.testing.assert_allclose(value, -0.5 * violation**2 / 1e-4, rtol=1e-12)
+        with pytest.raises(ValueError, match="measurement dimension 3"):
+            aug.log_likelihoods(member, np.array([0.86, 0.51, 1.0]))
 
     def test_prediction_stacks_constraint(self):
         base = pendulum_measurement_model(0.01)
         aug = AugmentedMeasurementModel(base, pendulum_constraint_spec(PARAMS))
         members = np.array([[0.6, 0.8, 1.0, 2.0]])
-        np.testing.assert_allclose(aug.predict_members(members), [[0.6, 0.8, 1.0]])
+        # The prediction [0.6, 0.8, 1.0] matches [y; d] exactly.
+        assert aug.log_likelihoods(members, np.array([0.6, 0.8]))[0] == 0.0
 
     def test_on_constraint_member_contributes_unit_factor(self):
         base = pendulum_measurement_model(0.01)
         aug = AugmentedMeasurementModel(base, pendulum_constraint_spec(PARAMS), 1e-3)
         member = initial_state(30.0)[None, :]
-        y = member[0, :2]
-        pred = aug.predict_members(member)
-        full = gaussian_log_likelihoods(aug.effective_observation(y), pred, aug.noise_cov())
-        base_only = gaussian_log_likelihoods(y, base.predict_members(member), base.R)
+        y = member[0, :2] + 0.05
+        full = aug.log_likelihoods(member, y)
+        base_only = base.log_likelihoods(member, y)
         np.testing.assert_allclose(np.exp(full), np.exp(base_only), rtol=1e-12)
 
     def test_nonpositive_sigma_rejected(self):
+        # Also a sigma_g whose square overflows (1e200) or vanishes (1e-170).
         base = pendulum_measurement_model(0.01)
-        with pytest.raises(ValueError):
-            AugmentedMeasurementModel(base, pendulum_constraint_spec(PARAMS), 0.0)
+        for sigma_g in (0.0, -0.5, math.nan, 1e200, 1e-170):
+            with pytest.raises(ValueError, match="sigma_g"):
+                AugmentedMeasurementModel(base, pendulum_constraint_spec(PARAMS), sigma_g)
