@@ -33,7 +33,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import NonconvergenceError
+from .transport import (
+    _REDUCED_COST_TOL,
+    _bland_trigger,
+    _iteration_limit,
+    _iteration_limit_error,
+)
 
 _SOURCE = Path(__file__).with_name("_simplex.c")
 # Never -ffast-math or -march=native: the kernel must round as the Python
@@ -54,34 +59,24 @@ class Kernel:
     avx2: bool
 
     def transportation_simplex(
-        self,
-        cost: np.ndarray,
-        supply: np.ndarray,
-        demand: np.ndarray,
-        max_iterations: int | None = None,
+        self, cost: np.ndarray, supply: np.ndarray, demand: np.ndarray
     ) -> np.ndarray:
-        """``transport._transportation_simplex``, pivot for pivot."""
+        """``transport._transportation_simplex``, pivot for pivot, with the
+        pivot rule's tolerance, Bland trigger and iteration limit from there."""
         cost, supply, demand = _checked(cost, supply, demand)
         n, m = cost.shape
-        if max_iterations is None:
-            max_iterations = 200 * (n + m) + 1000
+        max_iterations = _iteration_limit(n, m)
         alloc = np.zeros((n, m))
         most_negative = ctypes.c_double()
         status = self.lib.otf_transport_simplex(
             cost.ctypes.data, supply.ctypes.data, demand.ctypes.data, n, m,
-            max_iterations, self.avx2, alloc.ctypes.data, ctypes.byref(most_negative),
+            _REDUCED_COST_TOL, _bland_trigger(n, m), max_iterations,
+            self.avx2, alloc.ctypes.data, ctypes.byref(most_negative),
         )
         if status < 0:
             raise MemoryError("transportation simplex kernel could not allocate")
         if status == 1:
-            raise NonconvergenceError(
-                "transportation simplex hit its iteration limit",
-                diagnostics={
-                    "iterations": max_iterations,
-                    "most_negative_reduced_cost": most_negative.value,
-                    "size": n,
-                },
-            )
+            raise _iteration_limit_error(max_iterations, most_negative.value, n)
         return alloc
 
     def initial_basic_solution(
@@ -197,8 +192,8 @@ def load_kernel() -> Kernel | None:
     ]
     lib.otf_least_cost_start.restype = ctypes.c_int
     lib.otf_transport_simplex.argtypes = [
-        _DOUBLES, _DOUBLES, _DOUBLES, ctypes.c_int, ctypes.c_int, ctypes.c_int64,
-        ctypes.c_int, _DOUBLES, ctypes.POINTER(ctypes.c_double),
+        _DOUBLES, _DOUBLES, _DOUBLES, ctypes.c_int, ctypes.c_int, ctypes.c_double,
+        ctypes.c_int64, ctypes.c_int64, ctypes.c_int, _DOUBLES, ctypes.POINTER(ctypes.c_double),
     ]
     lib.otf_transport_simplex.restype = ctypes.c_int
     return Kernel(lib=lib, avx2=bool(lib.otf_has_avx2()))

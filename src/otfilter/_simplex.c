@@ -4,11 +4,13 @@
  * _initial_basic_solution in C, with the same pivot sequence and the same
  * floating-point operations; those Python functions are the specification.
  * Pricing is (c_ij - u_i) - v_j with the first index winning the argmin,
- * Bland's rule takes the first cell below -1e-11 in row-major order, the
+ * Bland's rule takes the first cell below -tol in row-major order, the
  * leaving cell is the smallest allocation with ties to the smallest flat
  * index, and every potential is one subtraction from its parent's along the
- * basis tree.  Build with -ffp-contract=off and never -ffast-math: a fused
- * multiply-add or a reassociated sum would change the pivots.
+ * basis tree.  The tolerance, the Bland trigger and the iteration limit are
+ * arguments, defined once in otfilter.transport.  Build with
+ * -ffp-contract=off and never -ffast-math: a fused multiply-add or a
+ * reassociated sum would change the pivots.
  *
  * The least-cost start keeps a heap of row heads, each row's cheapest cell
  * with both lines open.  A row's first head comes from one scan of the
@@ -30,9 +32,6 @@
 #include <immintrin.h>
 #define OTF_X86 1
 #endif
-
-#define REDUCED_COST_TOL 1e-11
-#define BLAND_TRIGGER_FACTOR 2
 
 int otf_has_avx2(void)
 {
@@ -264,13 +263,14 @@ static int64_t price_avx2(const double *cost, const double *u, const double *v,
 }
 #endif
 
-/* Bland: the first cell in row-major order priced below the tolerance. */
-static int64_t price_bland(const double *cost, const double *u, const double *v, int n, int m)
+/* Bland: the first cell in row-major order priced below -tol. */
+static int64_t price_bland(const double *cost, const double *u, const double *v, int n, int m,
+                           double tol)
 {
     for (int i = 0; i < n; i++) {
         const double *c = cost + (int64_t)i * m;
         for (int j = 0; j < m; j++)
-            if ((c[j] - u[i]) - v[j] < -REDUCED_COST_TOL)
+            if ((c[j] - u[i]) - v[j] < -tol)
                 return (int64_t)i * m + j;
     }
     return -1;
@@ -338,13 +338,14 @@ static void hang_subtree(Tree *t, int32_t top)
 
 /* ---- the simplex ------------------------------------------------------ */
 
-/* _transportation_simplex.  Writes the basic allocations into alloc, which
- * must hold n*m zeros, and returns 0; or returns 1 after max_iterations
- * pivots with the smallest reduced cost in *min_reduced; or -1 if memory
- * runs out. */
+/* _transportation_simplex.  Reduced costs of at least -tol count as optimal,
+ * and bland_trigger consecutive degenerate pivots switch to Bland's rule.
+ * Writes the basic allocations into alloc, which must hold n*m zeros, and
+ * returns 0; or returns 1 after max_iterations pivots with the smallest
+ * reduced cost in *min_reduced; or -1 if memory runs out. */
 int otf_transport_simplex(const double *cost, const double *supply, const double *demand,
-                          int n, int m, int64_t max_iterations, int avx2,
-                          double *alloc, double *min_reduced)
+                          int n, int m, double tol, int64_t bland_trigger,
+                          int64_t max_iterations, int avx2, double *alloc, double *min_reduced)
 {
     int nodes = n + m, edges = n + m - 1, status = -1;
     Tree t = {.n = n, .m = m, .cost = cost};
@@ -379,12 +380,12 @@ int otf_transport_simplex(const double *cost, const double *supply, const double
     hang_subtree(&t, 0);
     const double *u = t.pot, *v = t.pot + n;
 
-    int64_t bland_trigger = (int64_t)BLAND_TRIGGER_FACTOR * nodes, degenerate_streak = 0;
+    int64_t degenerate_streak = 0;
     int use_bland = 0;
     for (int64_t it = 0; it < max_iterations; it++) {
         int64_t enter;
         if (use_bland) {
-            enter = price_bland(cost, u, v, n, m);
+            enter = price_bland(cost, u, v, n, m, tol);
             if (enter < 0)
                 goto optimal;
         } else {
@@ -394,7 +395,7 @@ int otf_transport_simplex(const double *cost, const double *supply, const double
 #else
             enter = price_scalar(cost, u, v, n, m, &best);
 #endif
-            if (best >= -REDUCED_COST_TOL)
+            if (best >= -tol)
                 goto optimal;
         }
         int32_t ei = (int32_t)(enter / m), ej = (int32_t)(enter % m);

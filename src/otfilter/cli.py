@@ -25,7 +25,7 @@ from .harness import (
     config_from_json,
     config_to_dict,
     monte_carlo,
-    parse_variants,
+    write_file,
     write_outputs,
     write_samples,
 )
@@ -81,7 +81,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     config = config_from_json(args.config)
     overrides = {}
     if args.variant is not None:
-        overrides["variants"] = parse_variants(args.variant)
+        overrides["variants"] = args.variant
     if args.runs is not None:
         overrides["runs"] = args.runs
     if args.seed is not None:
@@ -128,10 +128,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
             "r_out": r_out,
             "seed": args.seed,
         }
-        try:
-            diag_path.write_text(json.dumps(diagnostics, indent=1, sort_keys=True) + "\n")
-        except OSError as exc:
-            raise OTFilterError(f"cannot write {diag_path}: {exc}") from exc
+        write_file(diag_path, json.dumps(diagnostics, indent=1, sort_keys=True) + "\n")
         print(f"wrote {args.n} annulus samples to {path}")
         print(f"annulus coverage: {coverage:.4f} (diagnostics in {diag_path})")
     return EXIT_OK

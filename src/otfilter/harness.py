@@ -48,8 +48,10 @@ _DEFAULT_SPREAD_DIAG = (0.05**2, 0.05**2, 0.01**2, 0.01**2)
 @dataclass(frozen=True, eq=False)
 class ExperimentConfig:
     """Study parameters, also read by ``filter_step`` and ``run_filter``;
-    defaults reproduce the pendulum experiment.  The models below are built
-    once per object and are not fields, so the JSON schema omits them."""
+    defaults reproduce the pendulum experiment.  Construction parses every
+    field as a config file's value is parsed (``_parse_field``), then checks
+    the whole.  The models below are built once per object and are not
+    fields, so the JSON schema omits them."""
 
     dt: float = 0.05
     t_final: float = 10.0
@@ -69,16 +71,14 @@ class ExperimentConfig:
     projection_innovation: ProjectionInnovation = ProjectionInnovation.PAPER_LITERAL
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "initial_spread", np.asarray(self.initial_spread, dtype=float)
-        )
-        object.__setattr__(self, "variants", tuple(FilterVariant(v) for v in self.variants))
-        object.__setattr__(self, "metric", CostMetric(self.metric))
-        object.__setattr__(
-            self,
-            "projection_innovation",
-            ProjectionInnovation(self.projection_innovation),
-        )
+        # The one parse of every field, for keyword arguments and JSON alike.
+        # A parsed value parses to itself, so dataclasses.replace works.
+        for f in fields(self):
+            try:
+                value = _parse_field(f.name, getattr(self, f.name), f.default)
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ConfigError(f"invalid {f.name}: {exc}") from exc
+            object.__setattr__(self, f.name, value)
         validate_config(self)
 
     def __eq__(self, other: object) -> bool:
@@ -160,31 +160,21 @@ def validate_config(config: ExperimentConfig) -> None:
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
-    """Build a config from a JSON-style dict; unknown keys are rejected.
-
-    Numbers take their field's type without coercion (see ``_number``).
-    """
+    """Build a config from a JSON-style dict; unknown keys are rejected."""
     if not isinstance(raw, dict):
         raise ConfigError(f"config must be a JSON object, got {type(raw).__name__}")
-    defaults = {f.name: f.default for f in fields(ExperimentConfig)}
-    unknown = set(raw) - set(defaults)
+    unknown = set(raw) - {f.name for f in fields(ExperimentConfig)}
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    kwargs: dict = {}
-    for key, value in raw.items():
-        try:
-            kwargs[key] = _parse_field(key, value, defaults[key])
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(f"invalid {key}: {exc}") from exc
-    try:
-        return ExperimentConfig(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+    return ExperimentConfig(**raw)
 
 
 def _parse_field(key: str, value: object, default: object) -> object:
-    """One raw config value as its field's type."""
+    """One raw config value as its field's type, without coercing numbers
+    (see ``_number``)."""
     if key == "pendulum":
+        if isinstance(value, PendulumParams):
+            value = {"L": value.L, "g": value.g}
         if not isinstance(value, dict) or set(value) - {"L", "g"}:
             raise ConfigError("pendulum must be an object with keys L and g")
         return PendulumParams(**{k: _number(v) for k, v in value.items()})
@@ -204,7 +194,7 @@ def _parse_field(key: str, value: object, default: object) -> object:
 
 
 def _number(value: object, kind: type = float) -> int | float:
-    """A JSON number as ``kind``: a bool, a string or, for an int field, a
+    """A number as ``kind``: a bool, a string or, for an int field, a
     fraction is rejected, never converted."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise TypeError(f"expected a number, got {value!r}")
@@ -416,19 +406,16 @@ def write_outputs(
             name = f"run_{record.run_index:03d}_{variant.value}.{fmt}"
             path = out_dir / name
             rows = list(_series_rows(record.truth, run_result))
-            try:
-                if fmt == "csv":
-                    lines = [CSV_HEADER]
-                    lines += [",".join(repr(float(v)) for v in row) for row in rows]
-                    path.write_text("\n".join(lines) + "\n")
-                else:
-                    payload = [
-                        {col: float(v) for col, v in zip(_SERIES_COLUMNS, row)}
-                        for row in rows
-                    ]
-                    path.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
-            except OSError as exc:
-                raise OTFilterError(f"cannot write {path}: {exc}") from exc
+            if fmt == "csv":
+                lines = [CSV_HEADER]
+                lines += [",".join(repr(float(v)) for v in row) for row in rows]
+                write_file(path, "\n".join(lines) + "\n")
+            else:
+                payload = [
+                    {col: float(v) for col, v in zip(_SERIES_COLUMNS, row)}
+                    for row in rows
+                ]
+                write_file(path, json.dumps(payload, indent=1, sort_keys=True) + "\n")
             written.append(path)
 
     summary = {
@@ -450,10 +437,7 @@ def write_outputs(
         ],
     }
     summary_path = out_dir / "summary.json"
-    try:
-        summary_path.write_text(json.dumps(summary, indent=1, sort_keys=True) + "\n")
-    except OSError as exc:
-        raise OTFilterError(f"cannot write {summary_path}: {exc}") from exc
+    write_file(summary_path, json.dumps(summary, indent=1, sort_keys=True) + "\n")
     written.append(summary_path)
     return written
 
@@ -470,9 +454,15 @@ def write_samples(
     out_path = Path(out_path)
     lines = [",".join(columns)]
     lines += [",".join(repr(float(v)) for v in row) for row in members]
-    try:
-        out_path.parent.mkdir(parents=True, exist_ok=True)
-        out_path.write_text("\n".join(lines) + "\n")
-    except OSError as exc:
-        raise OTFilterError(f"cannot write {out_path}: {exc}") from exc
+    write_file(out_path, "\n".join(lines) + "\n")
     return out_path
+
+
+def write_file(path: Path, text: str) -> None:
+    """Write ``text`` to ``path``, making its directory if needed; an
+    OSError becomes an OTFilterError that names the file."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    except OSError as exc:
+        raise OTFilterError(f"cannot write {path}: {exc}") from exc

@@ -60,10 +60,10 @@ from .errors import (
 WEIGHT_SUM_TOL = 1e-12
 MARGINAL_TOL = 1e-9
 
-# Reduced costs above this (negative) threshold count as optimal.
+# Reduced costs above this (negative) threshold count as optimal.  It, the
+# Bland trigger and the iteration limit below are defined here for both
+# solver paths: the kernel receives them with each call.
 _REDUCED_COST_TOL = 1e-11
-# Consecutive degenerate pivots tolerated before switching to Bland's rule.
-_BLAND_TRIGGER_FACTOR = 2
 # The least-cost start converts its sorted cell indices to Python ints this
 # many at a time, so no N*N-element list lives beside the N x N arrays.
 _SCAN_CHUNK = 1024
@@ -366,6 +366,29 @@ def _hang_subtree(
     return nodes
 
 
+def _bland_trigger(n: int, m: int) -> int:
+    """Consecutive degenerate pivots tolerated before switching to Bland's rule."""
+    return 2 * (n + m)
+
+
+def _iteration_limit(n: int, m: int) -> int:
+    """Pivots an n x m solve may take before it gives up."""
+    return 200 * (n + m) + 1000
+
+
+def _iteration_limit_error(
+    iterations: int, most_negative_reduced_cost: float, n: int
+) -> NonconvergenceError:
+    return NonconvergenceError(
+        "transportation simplex hit its iteration limit",
+        diagnostics={
+            "iterations": iterations,
+            "most_negative_reduced_cost": most_negative_reduced_cost,
+            "size": n,
+        },
+    )
+
+
 def _transportation_simplex(
     cost: np.ndarray,
     supply: np.ndarray,
@@ -398,8 +421,8 @@ def _transportation_simplex(
     reduced = np.empty((n, m))
     reduced_flat = reduced.ravel()
     if max_iterations is None:
-        max_iterations = 200 * (n + m) + 1000
-    bland_trigger = _BLAND_TRIGGER_FACTOR * (n + m)
+        max_iterations = _iteration_limit(n, m)
+    bland_trigger = _bland_trigger(n, m)
 
     degenerate_streak = 0
     use_bland = False
@@ -497,14 +520,7 @@ def _transportation_simplex(
 
     np.subtract(cost, u[:, None], out=reduced)
     reduced -= v
-    raise NonconvergenceError(
-        "transportation simplex hit its iteration limit",
-        diagnostics={
-            "iterations": max_iterations,
-            "most_negative_reduced_cost": float(reduced.min()),
-            "size": n,
-        },
-    )
+    raise _iteration_limit_error(max_iterations, float(reduced.min()), n)
 
 
 def _dense_alloc(flow: dict[int, float], n: int, m: int) -> np.ndarray:

@@ -4,12 +4,13 @@ import dataclasses
 import hashlib
 import json
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
 
-from otfilter.errors import ConfigError
+from otfilter.errors import ConfigError, OTFilterError
 from otfilter.filters import FilterVariant, ProjectionInnovation
 from otfilter.harness import (
     CSV_HEADER,
@@ -23,6 +24,7 @@ from otfilter.harness import (
     run_single,
     simulate_truth,
     write_outputs,
+    write_samples,
 )
 from otfilter.transport import CostMetric
 
@@ -41,6 +43,56 @@ def small_config(**overrides):
     kwargs = dict(SMALL)
     kwargs.update(overrides)
     return ExperimentConfig(**kwargs)
+
+
+# Raw configs that both doors, config_from_dict and ExperimentConfig(**raw),
+# reject; keyed by test id.
+BAD_RAW = {
+    "dt-str": {"dt": "abc"},
+    "dt-list": {"dt": [1]},
+    "N-null": {"N": None},
+    "N-inf": {"N": math.inf},
+    "spread-str": {"initial_spread": "a"},
+    "dt-nan": {"dt": math.nan},
+    "t_final-inf": {"t_final": math.inf},
+    "R_diag-nan": {"R_diag": math.nan},
+    "sigma_g-nan": {"sigma_g": math.nan},
+    "L-nan": {"pendulum": {"L": math.nan}},
+    "g-inf": {"pendulum": {"g": math.inf}},
+    "N-fraction": {"N": 12.9},
+    "runs-bool": {"runs": True},
+    "dt-bool": {"dt": True},
+    "dt-numeric-str": {"dt": "0.05"},
+    "seed-str": {"base_seed": "3"},
+    "L-bool": {"pendulum": {"L": True}},
+    "spread-numeric-str": {"initial_spread": [0.01, 0.01, "1e-4", 1e-4]},
+    "spread-bool": {"initial_spread": [True, 1.0, 1.0, 1.0]},
+    "seed-negative": {"base_seed": -1},
+    "spread-inf": {"initial_spread": [math.inf, 0.0025, 1e-4, 1e-4]},
+    "spread-nan": {"initial_spread": [math.nan, 0.0025, 1e-4, 1e-4]},
+    "L-square-overflow": {"pendulum": {"L": 1e300}},
+    "L-square-underflow": {"pendulum": {"L": 1e-200}},
+    "variants-repeated": {"variants": ["otf", "otproj", "otf"]},
+    "steps-overflow": {"t_final": 1e300},
+    "steps-past-address-space": {"t_final": 1e17},
+    "steps-inf": {"dt": 5e-324, "t_final": 1.0},
+    "sigma_g-square-underflow": {"sigma_g": 1e-170},
+    "sigma_g-square-overflow": {"sigma_g": 1e200},
+    "N-cost-matrix-overflow": {"N": np.int64(2**31)},
+    "L-negative": {"pendulum": {"L": -1.0}},
+    "variants-unknown": {"variants": "bogus"},
+}
+
+# Raw configs that both doors accept, each normalised on the way in.
+GOOD_RAW = {
+    "int-for-float": {"dt": 1, "N": 12.0, "runs": 2.0, "substeps": 3.0},
+    "numpy-int": {"N": np.int64(12)},
+    "variants-all": {"variants": "all"},
+    "variants-one-name": {"variants": "otf"},
+    "pendulum-dict": {"pendulum": {"L": 2.0}},
+    "spread-diagonal": {"initial_spread": [0.01, 0.01, 1e-4, 1e-4]},
+    "enums": {"metric": "sqeuclidean", "projection_innovation": "standard"},
+}
 
 
 class TestConfig:
@@ -109,48 +161,7 @@ class TestConfig:
         with pytest.raises(ConfigError):
             config_from_json(path)
 
-    @pytest.mark.parametrize(
-        "raw",
-        [
-            {"dt": "abc"},
-            {"dt": [1]},
-            {"N": None},
-            {"N": math.inf},
-            {"initial_spread": "a"},
-            {"dt": math.nan},
-            {"t_final": math.inf},
-            {"R_diag": math.nan},
-            {"sigma_g": math.nan},
-            {"pendulum": {"L": math.nan}},
-            {"pendulum": {"g": math.inf}},
-            {"N": 12.9},
-            {"runs": True},
-            {"dt": True},
-            {"dt": "0.05"},
-            {"base_seed": "3"},
-            {"pendulum": {"L": True}},
-            {"initial_spread": [0.01, 0.01, "1e-4", 1e-4]},
-            {"initial_spread": [True, 1.0, 1.0, 1.0]},
-            {"base_seed": -1},
-            {"initial_spread": [math.inf, 0.0025, 1e-4, 1e-4]},
-            {"initial_spread": [math.nan, 0.0025, 1e-4, 1e-4]},
-            {"pendulum": {"L": 1e300}},
-            {"pendulum": {"L": 1e-200}},
-            {"variants": ["otf", "otproj", "otf"]},
-            {"t_final": 1e300},
-            {"t_final": 1e17},
-            {"dt": 5e-324, "t_final": 1.0},
-            {"sigma_g": 1e-170},
-            {"sigma_g": 1e200},
-        ],
-        ids=["dt-str", "dt-list", "N-null", "N-inf", "spread-str", "dt-nan",
-             "t_final-inf", "R_diag-nan", "sigma_g-nan", "L-nan", "g-inf",
-             "N-fraction", "runs-bool", "dt-bool", "dt-numeric-str", "seed-str",
-             "L-bool", "spread-numeric-str", "spread-bool", "seed-negative",
-             "spread-inf", "spread-nan", "L-square-overflow", "L-square-underflow",
-             "variants-repeated", "steps-overflow", "steps-past-address-space",
-             "steps-inf", "sigma_g-square-underflow", "sigma_g-square-overflow"],
-    )
+    @pytest.mark.parametrize("raw", list(BAD_RAW.values()), ids=list(BAD_RAW))
     def test_malformed_or_non_finite_values_rejected(self, raw):
         with pytest.raises(ConfigError):
             config_from_dict(raw)
@@ -166,6 +177,27 @@ class TestConfig:
         echo = config_to_dict(config_from_dict({"dt": 1, "N": 12.0}))
         assert type(echo["dt"]) is float and echo["dt"] == 1.0
         assert type(echo["N"]) is int and echo["N"] == 12
+
+    @pytest.mark.parametrize("raw", list(BAD_RAW.values()), ids=list(BAD_RAW))
+    def test_both_doors_reject_with_one_message(self, raw):
+        with pytest.raises(ConfigError) as from_dict:
+            config_from_dict(raw)
+        with pytest.raises(ConfigError) as from_kwargs:
+            ExperimentConfig(**raw)
+        assert str(from_kwargs.value) == str(from_dict.value)
+
+    @pytest.mark.parametrize("raw", list(GOOD_RAW.values()), ids=list(GOOD_RAW))
+    def test_both_doors_accept_the_same_config(self, raw):
+        # Compared as JSON text, so 1 and 1.0 differ.
+        echo = json.dumps(config_to_dict(ExperimentConfig(**raw)))
+        assert echo == json.dumps(config_to_dict(config_from_dict(raw)))
+        # A parsed config parses to itself, as dataclasses.replace needs.
+        replaced = dataclasses.replace(config_from_dict(raw))
+        assert json.dumps(config_to_dict(replaced)) == echo
+
+    def test_first_bad_field_in_field_order_is_reported(self):
+        with pytest.raises(ConfigError, match="invalid dt"):
+            config_from_dict({"N": 12.5, "dt": "abc"})
 
     def test_enum_fields_parsed(self):
         config = config_from_dict(
@@ -353,6 +385,20 @@ class TestWriteOutputs:
         result = monte_carlo(small_config(runs=1))
         with pytest.raises(ConfigError):
             write_outputs(result, tmp_path, "xml")
+
+    @pytest.mark.parametrize("blocked", ["run_000_otf.csv", "summary.json"])
+    def test_unwritable_file_is_named(self, tmp_path, blocked):
+        result = monte_carlo(small_config(runs=1, variants=("otf",)))
+        path = tmp_path / blocked
+        path.mkdir()
+        with pytest.raises(OTFilterError, match=re.escape(f"cannot write {path}: ")):
+            write_outputs(result, tmp_path, "csv")
+
+    def test_unwritable_sample_directory_is_named(self, tmp_path):
+        (tmp_path / "blocked").write_text("")
+        path = tmp_path / "blocked" / "samples.csv"
+        with pytest.raises(OTFilterError, match=re.escape(f"cannot write {path}: ")):
+            write_samples(np.zeros((2, 1)), path, ("x",))
 
 
 class TestRunSingle:

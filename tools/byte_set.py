@@ -2,7 +2,7 @@
 
 Usage: python tools/byte_set.py OUT_DIR
 
-Runs 23 ``otfilter`` commands from this checkout's ``src/``, each in its own
+Runs 28 ``otfilter`` commands from this checkout's ``src/``, each in its own
 subprocess with its own working directory ``OUT_DIR/<op>/`` and a relative
 ``--out out``.  Per op it keeps ``config.json`` (run ops), ``stdout.txt``,
 ``stderr.txt``, ``exit_code.txt`` and every file the command wrote under
@@ -18,7 +18,10 @@ otnleqma``; the ``pendulum-small-sq`` config; ``{"N": 12, "metric":
 "sqeuclidean"}`` with 3 runs; ``{"N": 30, "projection_innovation":
 "standard"}`` as JSON; ``sample`` of the bimodal and the annulus target at
 n = 300.  Then ``{"N": 12, "metric": "sqeuclidean"}`` at seed 1961011246,
-and ``validate-config`` of the default config.
+and ``validate-config`` of the default config.  Last, five ``run`` ops
+whose configs are rejected (exit 2), so their ``config error`` lines are
+recorded: a fractional ``N``, a repeated variant, an overflowing
+``sigma_g`` squared, a negative rod length and an unknown key.
 """
 
 from __future__ import annotations
@@ -35,6 +38,13 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 SMALL_SQ = {"N": 12, "metric": "sqeuclidean", "variants": ["otf", "otproj", "otma"]}
 N12_SQ = {"N": 12, "metric": "sqeuclidean"}
 N30_STANDARD = {"N": 30, "projection_innovation": "standard"}
+BAD_CONFIGS = {
+    "n-fraction": {"N": 12.5},
+    "variants-repeated": {"variants": ["otf", "otf"]},
+    "sigma_g-overflow": {"sigma_g": 1e200},
+    "pendulum-negative": {"pendulum": {"L": -1}},
+    "unknown-key": {"ensemble_inflation": 1.1},
+}
 
 
 def operations() -> list[tuple[str, dict | None, list[str]]]:
@@ -60,6 +70,9 @@ def operations() -> list[tuple[str, dict | None, list[str]]]:
                 ["run", "--config", "config.json", "--runs", "1", "--seed", "1961011246",
                  "--out", "out"]))
     ops.append(("validate-default", {}, ["validate-config", "config.json"]))
+    for name, config in BAD_CONFIGS.items():
+        ops.append((f"run-config-error-{name}", config,
+                    ["run", "--config", "config.json", "--runs", "1", "--out", "out"]))
     return ops
 
 
